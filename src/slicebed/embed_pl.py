@@ -9,13 +9,18 @@ services through shared link and node capacities:
   P3  node resources over candidate footprints
 
 Candidate lists are cost-ordered, so k'=1 degenerates to "cheapest path per
-service if jointly feasible".
+service if jointly feasible". When each service's cheapest candidate is
+strictly cheapest and together they fit, that tuple is the unique optimum of
+the program and of its LP relaxation, so it is returned without building or
+solving the program.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .milp import BINARY, IlpModel, MilpError, branch_and_bound
+import numpy as np
+
+from .milp import BINARY, EPS_OBJ, IlpModel, IlpSolution, MilpError, branch_and_bound
 from .model import (Blocked, Embedding, PhysicalNetwork, ResidualState,
                     ServiceEmbedding, SliceRequest, TrustRelation)
 from .paths import CandidatePath, generate_candidates
@@ -28,6 +33,14 @@ class PlMeta:
     choices: dict[int, tuple[int, CandidatePath]]
 
 
+def pl_meta(candidates: dict[int, list[CandidatePath]],
+            slc: SliceRequest) -> PlMeta:
+    """The model's variable order: services in slice order, each service's
+    candidates in list order."""
+    pairs = [(svc.id, cand) for svc in slc.services for cand in candidates[svc.id]]
+    return PlMeta(choices=dict(enumerate(pairs)))
+
+
 def build_pl(candidates: dict[int, list[CandidatePath]], state: ResidualState,
              slc: SliceRequest):
     """Build the Path-Link model. Returns (IlpModel, PlMeta) or Blocked."""
@@ -36,21 +49,19 @@ def build_pl(candidates: dict[int, list[CandidatePath]], state: ResidualState,
             return Blocked("no_candidate_path", f"service {svc.id}")
 
     model = IlpModel()
-    meta = PlMeta(choices={})
+    meta = pl_meta(candidates, slc)
     link_rows: dict[int, dict[int, float]] = {}
     node_rows: dict[tuple[int, int], dict[int, float]] = {}
+    groups: dict[int, list[int]] = {svc.id: [] for svc in slc.services}
+    for var, (sid, cand) in meta.choices.items():
+        model.add_variable(f"z_{sid}_{cand.index}", BINARY, obj=cand.cost)
+        groups[sid].append(var)
+        for eid, amount in cand.link_units:
+            link_rows.setdefault(eid, {})[var] = amount
+        for vid, r, amount in cand.node_units:
+            node_rows.setdefault((vid, r), {})[var] = amount
     for svc in slc.services:
-        group = []
-        for cand in candidates[svc.id]:
-            var = model.add_variable(f"z_{svc.id}_{cand.index}", BINARY,
-                                     obj=cand.cost)
-            meta.choices[var] = (svc.id, cand)
-            group.append(var)
-            for eid, amount in cand.link_units:
-                link_rows.setdefault(eid, {})[var] = amount
-            for vid, r, amount in cand.node_units:
-                node_rows.setdefault((vid, r), {})[var] = amount
-        model.add_constraint({v: 1.0 for v in group}, "=", 1.0,
+        model.add_constraint({v: 1.0 for v in groups[svc.id]}, "=", 1.0,
                              name=f"P1_{svc.id}")
 
     for eid in sorted(link_rows):
@@ -62,6 +73,49 @@ def build_pl(candidates: dict[int, list[CandidatePath]], state: ResidualState,
                              max(0.0, state.node_residual(vid, r)),
                              name=f"P3_{vid}_{r}")
     return model, meta
+
+
+def forced_optimum(candidates: dict[int, list[CandidatePath]],
+                   state: ResidualState, slc: SliceRequest) -> IlpSolution | None:
+    """The program's solution when no search is needed to find it, else None.
+
+    It is found when every service's first candidate is cheaper than each
+    of its others by more than EPS_OBJ * max(1, |cost|), and their summed
+    footprints fit within max(0, residual) on every link and node resource,
+    which are the right-hand sides of P2 and P3. That tuple is then the
+    unique optimum of the program and of its LP relaxation, so
+    branch-and-bound would return it. The assignment follows ``pl_meta``.
+    """
+    if not all(candidates.get(svc.id) for svc in slc.services):
+        return None
+    chosen = []
+    for svc in slc.services:
+        first, *rest = candidates[svc.id]
+        margin = EPS_OBJ * max(1.0, abs(first.cost))
+        if any(c.cost - first.cost <= margin for c in rest):
+            return None
+        chosen.append(first)
+    link_use: dict[int, float] = {}
+    node_use: dict[tuple[int, int], float] = {}
+    for cand in chosen:
+        for eid, amount in cand.link_units:
+            link_use[eid] = link_use.get(eid, 0.0) + amount
+        for vid, r, amount in cand.node_units:
+            node_use[(vid, r)] = node_use.get((vid, r), 0.0) + amount
+    if any(amount > max(0.0, state.link_residual(eid))
+           for eid, amount in link_use.items()):
+        return None
+    if any(amount > max(0.0, state.node_residual(vid, r))
+           for (vid, r), amount in node_use.items()):
+        return None
+    costs = np.array([cand.cost for _, cand in pl_meta(candidates, slc).choices.values()])
+    assignment = np.zeros(len(costs))
+    var = 0
+    for svc in slc.services:
+        assignment[var] = 1.0
+        var += len(candidates[svc.id])
+    return IlpSolution("optimal", assignment, float(costs @ assignment),
+                       node_count=0)
 
 
 def decode_pl(slc: SliceRequest, meta: PlMeta, assignment,
@@ -97,6 +151,9 @@ def solve_pl_detailed(net: PhysicalNetwork, trust: TrustRelation,
             candidates = generate_candidates(net, trust, state, slc, k, prices)
         except UntrustableRequest as exc:
             return Blocked("untrustable_request", str(exc)), None
+    sol = forced_optimum(candidates, state, slc)
+    if sol is not None:
+        return decode_pl(slc, pl_meta(candidates, slc), sol.assignment, True), sol
     built = build_pl(candidates, state, slc)
     if isinstance(built, Blocked):
         return built, None

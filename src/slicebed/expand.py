@@ -42,19 +42,12 @@ class ExpandedNetwork:
         self.num_layers = num_layers
         self.source = source            # (0, s)
         self.target = target            # (m, t)
-        self.adjacency = adjacency      # node -> tuple of ExpEdge, deterministic order
+        self.adjacency = adjacency      # node -> tuple of ExpEdge by (dst, kind, ref)
         self.num_nodes = len(adjacency)
         self.num_edges = sum(len(v) for v in adjacency.values())
 
     def out_edges(self, node):
         return self.adjacency.get(node, ())
-
-    def edge_between(self, src, dst, kind=None, ref=None):
-        for e in self.adjacency.get(src, ()):
-            if e.dst == dst and (kind is None or e.kind == kind) \
-                    and (ref is None or e.ref == ref):
-                return e
-        return None
 
 
 def build_expanded(net: PhysicalNetwork, service: ServiceChain, slc: SliceRequest,

@@ -1,9 +1,10 @@
 """Candidate path generation on the expanded network.
 
-Dijkstra and Yen-style k-shortest loopless search, then latency pruning and
-a standalone residual-capacity prefilter. Ties between equal-weight paths are
-broken lexicographically on the node sequence, so candidate sets are
-reproducible and nested as k grows.
+Dijkstra and Yen-style k-shortest loopless search (with Lawler's rule), then
+latency pruning and a standalone residual-capacity prefilter. Ties between
+equal-weight paths are broken lexicographically on the node sequence, then on
+the edge key sequence, so candidate sets are reproducible and nested as k
+grows.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from .pricing import PriceSnapshot
 
 COST = "cost"
 LATENCY = "latency"
+_INF = float("inf")
+_NEG_INF = -_INF
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,61 @@ class CandidatePath:
     node_units: tuple[tuple[int, int, float], ...]     # (node id, resource, amount)
 
 
-def _edge_weight(edge: ExpEdge, weight: str) -> float:
-    return edge.cost if weight == COST else edge.latency
+def _flatten(exp: ExpandedNetwork, weight: str):
+    """The layered graph in integer form, built afresh for one search.
+
+    Nodes are numbered in sorted order and edges in (source node, adjacency)
+    order, and ExpandedNetwork keeps each adjacency list sorted by
+    (dst, kind, ref). Comparing number sequences therefore orders paths
+    exactly as comparing their node sequences, then their (kind, ref) key
+    sequences, would. Returns (index, edges, adjacency): node -> number,
+    number -> ExpEdge, and per node a tuple of (dst number, weight, edge
+    number).
+    """
+    nodes = sorted(exp.adjacency)
+    index = {node: i for i, node in enumerate(nodes)}
+    edges: list[ExpEdge] = []
+    adjacency = []
+    for node in nodes:
+        out = []
+        for e in exp.adjacency[node]:
+            out.append((index[e.dst], e.cost if weight == COST else e.latency,
+                        len(edges)))
+            edges.append(e)
+        adjacency.append(tuple(out))
+    return index, edges, adjacency
+
+
+def _dijkstra(adjacency, start, target, best, banned_edges):
+    """Least-weight path from ``start`` to ``target``, or None.
+
+    ``best`` holds per node the least distance queued so far, initially
+    infinity; it is set to minus infinity once the node is settled, so
+    nodes the caller marks that way are never entered. Edge numbers in
+    ``banned_edges`` are never used. Among equal-weight paths the one with
+    the smallest node sequence, then edge sequence, wins: heap entries are
+    (dist, node sequence, edge sequence). An entry heavier than one already
+    queued for the same node could never be settled first, so it is not
+    queued. Returns (node sequence, edge sequence).
+    """
+    if best[start] == _NEG_INF:
+        return None
+    heap = [(0.0, (start,), ())]
+    while heap:
+        dist, nodes, path = heapq.heappop(heap)
+        node = nodes[-1]
+        if dist > best[node]:
+            continue
+        best[node] = _NEG_INF
+        if node == target:
+            return nodes, path
+        for dst, w, eid in adjacency[node]:
+            nd = dist + w
+            if nd > best[dst] or eid in banned_edges:
+                continue
+            best[dst] = nd
+            heapq.heappush(heap, (nd, nodes + (dst,), path + (eid,)))
+    return None
 
 
 def shortest_path(exp: ExpandedNetwork, weight: str = COST):
@@ -43,99 +99,57 @@ def shortest_path(exp: ExpandedNetwork, weight: str = COST):
     Among equal-weight paths, returns the one with the lexicographically
     smallest node sequence.
     """
-    return _dijkstra(exp, exp.source, banned_nodes=frozenset(),
-                     banned_edges=frozenset(), weight=weight)
-
-
-def _dijkstra(exp, start, banned_nodes, banned_edges, weight):
-    # Heap entries: (dist, node sequence, edge key sequence, edge sequence).
-    # The key sequence keeps ties orderable when parallel edges join the
-    # same node pair (ExpEdge itself has no ordering).
-    if start in banned_nodes:
-        return None
-    target = exp.target
-    heap = [(0.0, (start,), (), ())]
-    done = set()
-    while heap:
-        dist, nodes, keys, edges = heapq.heappop(heap)
-        node = nodes[-1]
-        if node in done:
-            continue
-        done.add(node)
-        if node == target:
-            return list(edges)
-        for e in exp.out_edges(node):
-            if e.dst in done or e.dst in banned_nodes:
-                continue
-            if (e.src, e.dst, e.kind, e.ref) in banned_edges:
-                continue
-            heapq.heappush(heap, (dist + _edge_weight(e, weight),
-                                  nodes + (e.dst,), keys + ((e.kind, e.ref),),
-                                  edges + (e,)))
-    return None
-
-
-def _path_nodes(exp, path):
-    nodes = [exp.source]
-    for e in path:
-        nodes.append(e.dst)
-    return tuple(nodes)
+    found = k_shortest_paths(exp, 1, weight)
+    return found[0] if found else None
 
 
 def k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST):
     """Up to k minimum-weight loopless paths in nondecreasing weight.
 
-    Yen's deviation search. Deterministic: candidate ordering is
-    (weight, node sequence).
+    Yen's deviation search with Lawler's rule: a path that deviated from
+    its parent at index d spurs only from index d onward, since the spurs
+    before d were taken when an earlier path with the same prefix was found
+    and would only repeat paths already queued. Deterministic: candidate
+    ordering is (weight, node sequence, edge key sequence), where a path's
+    weight is the sum of its root's edge weights plus that of its spur's.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    first = shortest_path(exp, weight)
+    index, edges, adjacency = _flatten(exp, weight)
+    weights = [w for out in adjacency for _, w, _ in out]
+    size, target = len(adjacency), index[exp.target]
+    first = _dijkstra(adjacency, index[exp.source], target, [_INF] * size, ())
     if first is None:
         return []
 
-    def keys_of(path):
-        return tuple((e.kind, e.ref) for e in path)
-
-    found = [first]
-    found_keys = [keys_of(first)]
-    pool: list = []        # (weight, node seq, edge key seq, edge list)
-    seen = {found_keys[0]}
-
+    found = [first[1]]
+    seen = {first[1]}
+    # root edge sequence -> next edges of the found paths that share it
+    branches: dict[tuple, set] = {}
+    pool: list = []        # (weight, node seq, edge seq, deviation index)
+    nodes, path, deviation = first[0], first[1], 0
     while len(found) < k:
-        prev = found[-1]
-        prev_nodes = _path_nodes(exp, prev)
-        prev_keys = found_keys[-1]
-        for i in range(len(prev)):
-            spur_node = prev_nodes[i]
-            root = prev[:i]
-            root_keys = prev_keys[:i]
-            root_weight = sum(_edge_weight(e, weight) for e in root)
-
-            banned_edges = set()
-            for p, pk in zip(found, found_keys):
-                if pk[:i] == root_keys and len(p) > i:
-                    e = p[i]
-                    banned_edges.add((e.src, e.dst, e.kind, e.ref))
-            banned_nodes = frozenset(prev_nodes[:i])
-
-            spur = _dijkstra(exp, spur_node, banned_nodes,
-                             frozenset(banned_edges), weight)
+        for i in range(len(path)):
+            branches.setdefault(path[:i], set()).add(path[i])
+        for i in range(deviation, len(path)):
+            root = path[:i]
+            best = [_INF] * size
+            for node in nodes[:i]:
+                best[node] = _NEG_INF
+            spur = _dijkstra(adjacency, nodes[i], target, best, branches[root])
             if spur is None:
                 continue
-            total = list(root) + spur
-            total_keys = keys_of(total)
-            if total_keys in seen:
+            total = root + spur[1]
+            if total in seen:
                 continue
-            seen.add(total_keys)
-            w = root_weight + sum(_edge_weight(e, weight) for e in spur)
-            heapq.heappush(pool, (w, _path_nodes(exp, total), total_keys, total))
+            seen.add(total)
+            w = sum(weights[e] for e in root) + sum(weights[e] for e in spur[1])
+            heapq.heappush(pool, (w, nodes[:i] + spur[0], total, i))
         if not pool:
             break
-        _, _, keys, path = heapq.heappop(pool)
+        _, nodes, path, deviation = heapq.heappop(pool)
         found.append(path)
-        found_keys.append(keys)
-    return found
+    return [[edges[e] for e in p] for p in found]
 
 
 def candidate_from_path(exp: ExpandedNetwork, slc: SliceRequest, path,

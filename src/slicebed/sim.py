@@ -466,6 +466,11 @@ def run(scenario: Scenario, workload: Workload, engine: str = PL,
     """Simulate one run. Deterministic per (scenario, workload, config)."""
     if engine not in (NL, PL):
         raise ScenarioError(f"unknown engine {engine!r}")
+    if engine == PL and shared_vnf_per_slice:
+        # pl candidates carry per-occurrence footprints, so the ledger must
+        # charge them the same way
+        raise ScenarioError("shared_vnf_per_slice needs engine nl; "
+                            "pl footprints charge every VNF occurrence")
     if pricing is None:
         pricing = PricingPolicy.from_config(scenario.pricing)
     templates = parse_slice_types(scenario)

@@ -2,14 +2,19 @@
 
 Everything here recomputes answers from first principles (exact rational
 arithmetic, dynamic programming, exhaustive enumeration) and shares no logic
-with the package's solvers.
+with the package's solvers. The one exception is the reference k-shortest
+search, which is the package's earlier, plainer Yen implementation kept to
+check the faster one path for path.
 """
+import heapq
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from slicebed.model import allowed_operators, scenario_from_dict, request_from_dict
+from slicebed.expand import ExpandedNetwork, ExpEdge
+from slicebed.paths import COST
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +158,118 @@ def dfs_all_expanded_paths(exp):
 
     go(exp.source, {exp.source}, [])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference k-shortest search: Yen's algorithm with whole-path heap entries
+# ---------------------------------------------------------------------------
+# The package's search before it adopted Lawler's rule and the integer-indexed
+# graph. It spurs from every node of every found path, so it is slow but
+# plainly Yen; the package's search must return the identical ordered paths.
+
+def _edge_weight(edge: ExpEdge, weight: str) -> float:
+    return edge.cost if weight == COST else edge.latency
+
+
+def _reference_shortest_path(exp: ExpandedNetwork, weight: str = COST):
+    """Minimum-weight source-to-target path, or None if disconnected.
+
+    Among equal-weight paths, returns the one with the lexicographically
+    smallest node sequence.
+    """
+    return _reference_dijkstra(exp, exp.source, banned_nodes=frozenset(),
+                               banned_edges=frozenset(), weight=weight)
+
+
+def _reference_dijkstra(exp, start, banned_nodes, banned_edges, weight):
+    # Heap entries: (dist, node sequence, edge key sequence, edge sequence).
+    # The key sequence keeps ties orderable when parallel edges join the
+    # same node pair (ExpEdge itself has no ordering).
+    if start in banned_nodes:
+        return None
+    target = exp.target
+    heap = [(0.0, (start,), (), ())]
+    done = set()
+    while heap:
+        dist, nodes, keys, edges = heapq.heappop(heap)
+        node = nodes[-1]
+        if node in done:
+            continue
+        done.add(node)
+        if node == target:
+            return list(edges)
+        for e in exp.out_edges(node):
+            if e.dst in done or e.dst in banned_nodes:
+                continue
+            if (e.src, e.dst, e.kind, e.ref) in banned_edges:
+                continue
+            heapq.heappush(heap, (dist + _edge_weight(e, weight),
+                                  nodes + (e.dst,), keys + ((e.kind, e.ref),),
+                                  edges + (e,)))
+    return None
+
+
+def _path_nodes(exp, path):
+    nodes = [exp.source]
+    for e in path:
+        nodes.append(e.dst)
+    return tuple(nodes)
+
+
+def reference_k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST):
+    """Up to k minimum-weight loopless paths in nondecreasing weight.
+
+    Yen's deviation search. Deterministic: candidate ordering is
+    (weight, node sequence).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    first = _reference_shortest_path(exp, weight)
+    if first is None:
+        return []
+
+    def keys_of(path):
+        return tuple((e.kind, e.ref) for e in path)
+
+    found = [first]
+    found_keys = [keys_of(first)]
+    pool: list = []        # (weight, node seq, edge key seq, edge list)
+    seen = {found_keys[0]}
+
+    while len(found) < k:
+        prev = found[-1]
+        prev_nodes = _path_nodes(exp, prev)
+        prev_keys = found_keys[-1]
+        for i in range(len(prev)):
+            spur_node = prev_nodes[i]
+            root = prev[:i]
+            root_keys = prev_keys[:i]
+            root_weight = sum(_edge_weight(e, weight) for e in root)
+
+            banned_edges = set()
+            for p, pk in zip(found, found_keys):
+                if pk[:i] == root_keys and len(p) > i:
+                    e = p[i]
+                    banned_edges.add((e.src, e.dst, e.kind, e.ref))
+            banned_nodes = frozenset(prev_nodes[:i])
+
+            spur = _reference_dijkstra(exp, spur_node, banned_nodes,
+                                       frozenset(banned_edges), weight)
+            if spur is None:
+                continue
+            total = list(root) + spur
+            total_keys = keys_of(total)
+            if total_keys in seen:
+                continue
+            seen.add(total_keys)
+            w = root_weight + sum(_edge_weight(e, weight) for e in spur)
+            heapq.heappush(pool, (w, _path_nodes(exp, total), total_keys, total))
+        if not pool:
+            break
+        _, _, keys, path = heapq.heappop(pool)
+        found.append(path)
+        found_keys.append(keys)
+    return found
 
 
 def all_simple_routes(net, allowed_nodes, src, dst):

@@ -1,11 +1,13 @@
 """Candidate-path embedding: saturation equivalence, monotonicity, coupling."""
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from slicebed.embed_nl import solve_nl
-from slicebed.embed_pl import build_pl, solve_pl, solve_pl_detailed
-from slicebed.milp import branch_and_bound, enumerate_oracle
+from slicebed.embed_pl import build_pl, forced_optimum, solve_pl, solve_pl_detailed
+from slicebed.milp import EPS_OBJ, branch_and_bound, enumerate_oracle
 from slicebed.model import (
     Blocked,
     Embedding,
@@ -16,7 +18,7 @@ from slicebed.model import (
     request_from_dict,
     scenario_from_dict,
 )
-from slicebed.paths import generate_candidates
+from slicebed.paths import CandidatePath, generate_candidates
 from slicebed.pricing import PriceSnapshot, PricingPolicy
 
 from oracles import brute_force_embedding, tiny_request, tiny_scenario
@@ -261,3 +263,85 @@ def test_matches_brute_force_when_saturated():
             assert got.total_cost == pytest.approx(ref, abs=1e-6)
             agree += 1
     assert agree >= 30
+
+
+def _candidate_sets(rng, mode):
+    """A slice of 1-3 services over a 3-node, 3-link substrate, random
+    candidate lists cheapest first and a ledger with tight residuals.
+
+    Costs are small integers, so exact ties are common. ``mode`` "tie" gives
+    one service a second candidate within EPS_OBJ of its first (exactly
+    equal or a near tie); "overfull" loads one resource the first
+    candidates share until their summed footprints no longer fit.
+    """
+    scn = scenario_from_dict({
+        "resources": [{"id": 0, "name": "cpu"}],
+        "operators": [{"id": 1}],
+        "nodes": [{"id": i, "operator_id": 1, "is_function_node": True,
+                   "capacity": [4.0], "unit_price": [1.0]} for i in range(3)],
+        "links": [{"endpoints": ends, "capacity": 4.0, "directed": True}
+                  for ends in ([0, 1], [1, 2], [0, 2])],
+        "trust": {"1": [1]},
+        "vnfs": [],
+    })
+    services = rng.randint(1, 3)
+    slc = request_from_dict({
+        "id": "r", "origin_operator": 1,
+        "services": [{"id": sid, "source": 0, "sink": 2, "vnf_sequence": [],
+                      "bandwidth": 1.0, "max_latency": 99.0}
+                     for sid in range(services)],
+        "vnf_catalog": [],
+    }, scn)
+    candidates = {}
+    for sid in range(services):
+        costs = sorted(float(rng.randint(0, 6)) for _ in range(rng.randint(1, 4)))
+        cands = []
+        for index, cost in enumerate(costs):
+            links = sorted(rng.sample(range(3), rng.randint(1, 2)))
+            cands.append(CandidatePath(
+                sid, index, {}, (), cost, 0.0,
+                tuple((eid, float(rng.randint(1, 2))) for eid in links),
+                tuple((vid, 0, float(rng.randint(1, 2)))
+                      for vid in sorted(rng.sample(range(3), rng.randint(0, 2))))))
+        candidates[sid] = cands
+    if mode == "tie":
+        sid = rng.randrange(services)
+        first = candidates[sid][0]
+        bump = rng.choice([0.0, 0.5 * EPS_OBJ * max(1.0, first.cost)])
+        twin = replace(first, cost=first.cost + bump)
+        candidates[sid] = [replace(c, index=i) for i, c in
+                           enumerate([first, twin] + candidates[sid][1:])]
+    state = ResidualState(scn.net)
+    for eid in range(3):
+        state.used_bw[eid] = float(rng.choice([0, 0, 1, 2, 5]))
+    for vid in range(3):
+        state.used_node[(vid, 0)] = float(rng.choice([0, 0, 1, 2, 5]))
+    if mode == "overfull":
+        eid, amount = candidates[0][0].link_units[0]
+        state.used_bw[eid] = 4.0 - amount + rng.choice([0.5, 1.0, 3.0])
+    return slc, candidates, state
+
+
+def test_forced_optimum_agrees_with_branch_and_bound():
+    """Whenever the shortcut decides, branch-and-bound on the full model
+    picks the same candidate per service with the same objective; on a tie
+    or an overfull resource it declines."""
+    rng = random.Random(20260417)
+    decided = 0
+    for trial in range(600):
+        mode = ("free", "tie", "overfull")[trial % 3]
+        slc, candidates, state = _candidate_sets(rng, mode)
+        sol = forced_optimum(candidates, state, slc)
+        if mode != "free":
+            assert sol is None, mode
+            continue
+        if sol is None:
+            continue
+        decided += 1
+        model, _ = build_pl(candidates, state, slc)
+        ref = branch_and_bound(model)
+        assert ref.status == sol.status == "optimal"
+        assert np.array_equal(np.round(ref.assignment), sol.assignment)
+        assert sol.objective == ref.objective
+        assert sol.node_count == 0
+    assert decided >= 40

@@ -1,6 +1,7 @@
 """k-shortest path search versus exhaustive enumeration, and candidate pruning."""
 import random
 
+import networkx as nx
 import pytest
 
 from slicebed.expand import UnreachableEndpoints, build_expanded
@@ -9,6 +10,8 @@ from slicebed.model import (
     allowed_operators,
     load_request,
     load_scenario,
+    request_from_dict,
+    scenario_from_dict,
 )
 from slicebed.paths import (
     COST,
@@ -21,7 +24,8 @@ from slicebed.paths import (
 )
 from slicebed.pricing import PriceSnapshot, PricingPolicy
 
-from oracles import dfs_all_expanded_paths, tiny_request, tiny_scenario
+from oracles import (dfs_all_expanded_paths, reference_k_shortest_paths,
+                     tiny_request, tiny_scenario)
 
 
 def _weight(path, attr):
@@ -64,6 +68,96 @@ def _instances(seed, count):
             made += 1
             if made >= count:
                 return
+
+
+def _integer_instances(seed, count, max_paths=300):
+    """Yield (exp, all_paths) for random layered graphs with small integer
+    costs and latencies, so many paths tie exactly, and with parallel
+    physical links, so equal node sequences differ only in link ids."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        n = rng.randint(3, 5)
+
+        def link(a, b):
+            return {"endpoints": [a, b], "capacity": 5.0,
+                    "directed": rng.random() < 0.3,
+                    "prop_delay": float(rng.randint(0, 2)),
+                    "unit_price": float(rng.randint(0, 2))}
+
+        links = [link(i, (i + 1) % n) for i in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            links.append(link(*rng.sample(range(n), 2)))
+        links.append(link(*rng.choice(links)["endpoints"]))      # a parallel link
+        scn = scenario_from_dict({
+            "resources": [{"id": 0, "name": "cpu"}],
+            "operators": [{"id": 1}],
+            "nodes": [{"id": i, "operator_id": 1, "is_function_node": True,
+                       "capacity": [9.0], "unit_price": [float(rng.randint(0, 2))]}
+                      for i in range(n)],
+            "links": links,
+            "trust": {"1": [1]},
+            "vnfs": [{"id": 0, "name": "f0", "proc_delay": 1.0, "demand": [1.0]},
+                     {"id": 1, "name": "f1", "proc_delay": 0.0, "demand": [1.0]}],
+        })
+        chain = [rng.choice([0, 1]) for _ in range(rng.randint(0, 2))]
+        src, dst = rng.sample(range(n), 2)
+        req = request_from_dict({
+            "id": "r", "origin_operator": 1,
+            "services": [{"id": 0, "source": src, "sink": dst,
+                          "vnf_sequence": chain, "bandwidth": 1.0,
+                          "max_latency": 100.0}],
+            "vnf_catalog": [{"vnf_id": f, "agg_bandwidth": 1.0,
+                             "deploy_nodes": sorted(rng.sample(range(n), rng.randint(1, n)))}
+                            for f in sorted(set(chain))],
+        }, scn)
+        snap = PriceSnapshot(PricingPolicy(), scn.net, ResidualState(scn.net))
+        exp = build_expanded(scn.net, req.services[0], req,
+                             allowed_operators(req, scn.trust), snap)
+        paths = dfs_all_expanded_paths(exp)
+        if len(paths) <= max_paths:
+            yield exp, paths
+            made += 1
+
+
+def _networkx_weights(exp, attr):
+    """Path weights in the order networkx's own Yen search yields them.
+
+    Every layered edge is split at a midpoint node, so parallel edges stay
+    distinct paths in networkx's simple digraph.
+    """
+    g = nx.DiGraph()
+    for out in exp.adjacency.values():
+        for e in out:
+            mid = ("edge", e.src, e.kind, e.ref)
+            g.add_edge(e.src, mid, w=getattr(e, attr))
+            g.add_edge(mid, e.dst, w=0)
+    if exp.source not in g or exp.target not in g \
+            or not nx.has_path(g, exp.source, exp.target):
+        return []
+    return [nx.path_weight(g, p, "w")
+            for p in nx.shortest_simple_paths(g, exp.source, exp.target, weight="w")]
+
+
+def test_search_matches_reference_path_for_path():
+    """The same ordered paths as the plain Yen search kept in the oracles,
+    for k in {1, 2, 8, all} under both weights, on graphs with float costs
+    and on graphs with many exact ties and parallel links."""
+    graphs = [(exp, paths) for exp, paths, *_ in _instances(424242, 40)]
+    graphs += list(_integer_instances(8675309, 60))
+    for exp, all_paths in graphs:
+        for weight in (COST, LATENCY):
+            for k in (1, 2, 8, len(all_paths) + 1):
+                got = k_shortest_paths(exp, k, weight)
+                ref = reference_k_shortest_paths(exp, k, weight)
+                assert [_keyseq(p) for p in got] == [_keyseq(p) for p in ref]
+
+
+def test_weights_match_networkx_on_integer_graphs():
+    for exp, all_paths in _integer_instances(5551212, 40):
+        for weight, attr in ((COST, "cost"), (LATENCY, "latency")):
+            got = [_weight(p, attr) for p in k_shortest_paths(exp, len(all_paths) + 1, weight)]
+            assert got == _networkx_weights(exp, attr)
 
 
 def test_yen_matches_exhaustive_enumeration():

@@ -276,6 +276,16 @@ def test_unknown_engine_rejected():
         run(scn, Workload(rate=1, holding=1, horizon=5, seed=0), engine="magic")
 
 
+def test_pl_with_shared_vnf_accounting_rejected():
+    """pl solves with per-occurrence footprints; shared accounting would
+    reserve less than the solve checked."""
+    scn = _mminf_scenario()
+    w = Workload(rate=1, holding=1, horizon=5, seed=0)
+    with pytest.raises(ScenarioError, match="shared_vnf_per_slice"):
+        run(scn, w, engine=PL, shared_vnf_per_slice=True)
+    assert run(scn, w, engine=NL, shared_vnf_per_slice=True).offered_total() > 0
+
+
 def test_common_random_numbers_across_engines():
     """Both engines see the identical arrival/content trace."""
     doc = generate_scenario(ScenarioGen(operators=2, nodes_per_operator=(4, 5),
