@@ -5,13 +5,28 @@ the trust-filtered substrate. Copies of physical links connect nodes within a
 layer; a processing edge from node v in layer k-1 to v in layer k exists iff
 the k-th VNF may be deployed at v. Any path from the source in layer 0 to the
 sink in layer m therefore encodes a routing and an in-order placement at once.
+
+The graph is built in integer form, which the path search reads directly.
+Nodes are numbered in sorted (layer, node id) order and edges in
+(source node, dst, kind, ref) order. Per edge, parallel lists hold the
+destination, cost, latency, kind and ref; per node, an adjacency tuple holds
+(dst, cost, edge) triples. Comparing number sequences therefore orders paths
+exactly as comparing their node sequences, then their (kind, ref) key
+sequences, would. The order is read off ``PhysicalNetwork.trusted_substrate``,
+which is computed once per allowed-operator set, so building a service's graph
+sorts nothing. ``ExpEdge`` objects exist only in the derived ``edges`` and
+``adjacency`` views, for the DOT dump, the CLI and tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import PhysicalNetwork, ServiceChain, SliceRequest
 from .pricing import PriceSnapshot
+
+LINK = "link"
+VNF = "vnf"
 
 
 class UnreachableEndpoints(Exception):
@@ -20,7 +35,7 @@ class UnreachableEndpoints(Exception):
 
 @dataclass(frozen=True)
 class ExpEdge:
-    """Edge of the expanded network.
+    """Edge of the expanded network, as the derived view shows it.
 
     kind is "link" (intra-layer copy of physical link ``ref``) or "vnf"
     (processing edge placing chain position ``ref`` at the node).
@@ -34,17 +49,57 @@ class ExpEdge:
 
 
 class ExpandedNetwork:
-    """Immutable layered graph with costs and latencies baked in at build time."""
+    """Immutable layered graph in integer form, with costs and latencies
+    baked in at build time.
 
-    def __init__(self, service: ServiceChain, num_layers: int, source, target,
-                 adjacency: dict):
+    Node ``i`` is (layer ``i // n``, substrate node ``substrate_nodes[i % n]``)
+    where n is the number of substrate nodes.
+    """
+
+    def __init__(self, service: ServiceChain, substrate_nodes: tuple[int, ...],
+                 num_layers: int, source_index: int, target_index: int,
+                 arcs: list, edge_dst: list, edge_cost: list, edge_latency: list,
+                 edge_kind: list, edge_ref: list):
         self.service = service
+        self.substrate_nodes = substrate_nodes
         self.num_layers = num_layers
-        self.source = source            # (0, s)
-        self.target = target            # (m, t)
-        self.adjacency = adjacency      # node -> tuple of ExpEdge by (dst, kind, ref)
-        self.num_nodes = len(adjacency)
-        self.num_edges = sum(len(v) for v in adjacency.values())
+        self.source_index = source_index
+        self.target_index = target_index
+        self.arcs = arcs                    # node -> tuple of (dst, cost, edge)
+        self.edge_dst = edge_dst
+        self.edge_cost = edge_cost
+        self.edge_latency = edge_latency
+        self.edge_kind = edge_kind          # LINK or VNF
+        self.edge_ref = edge_ref            # link id or chain position
+        self.num_nodes = len(arcs)
+        self.num_edges = len(edge_dst)
+
+    def node(self, i: int) -> tuple[int, int]:
+        """(layer, node id) of node number ``i``."""
+        layer, at = divmod(i, len(self.substrate_nodes))
+        return layer, self.substrate_nodes[at]
+
+    @property
+    def source(self) -> tuple[int, int]:
+        return self.node(self.source_index)
+
+    @property
+    def target(self) -> tuple[int, int]:
+        return self.node(self.target_index)
+
+    @cached_property
+    def edges(self) -> tuple[ExpEdge, ...]:
+        """Every edge as an ExpEdge, indexed by edge number."""
+        return tuple(
+            ExpEdge(self.node(i), self.node(dst), self.edge_cost[e],
+                    self.edge_latency[e], self.edge_kind[e], self.edge_ref[e])
+            for i, out in enumerate(self.arcs) for dst, _, e in out)
+
+    @cached_property
+    def adjacency(self) -> dict:
+        """(layer, node id) -> tuple of its out-edges as ExpEdge, by (dst, kind, ref)."""
+        return {self.node(i): tuple(self.edges[e] for _, _, e in out)
+                for i, out in enumerate(self.arcs)}
 
     def out_edges(self, node):
         return self.adjacency.get(node, ())
@@ -59,45 +114,67 @@ def build_expanded(net: PhysicalNetwork, service: ServiceChain, slc: SliceReques
     snapshot: a link copy costs price_e * bandwidth, a processing edge costs
     the placement cost of the VNF at that node.
     """
-    allowed_nodes = {vid for vid, n in net.nodes.items() if n.operator_id in allowed}
-    if service.source not in allowed_nodes or service.sink not in allowed_nodes:
+    sub = net.trusted_substrate(allowed)
+    index = sub.index
+    if service.source not in index or service.sink not in index:
         raise UnreachableEndpoints(
             f"service {service.id}: endpoints filtered out by trust")
 
     chain = service.vnf_sequence
     m = len(chain)
-    adjacency: dict = {}
-    for layer in range(m + 1):
-        for vid in allowed_nodes:
-            adjacency[(layer, vid)] = []
-
-    for eid in sorted(net.links):
-        link = net.links[eid]
-        if link.src not in allowed_nodes or link.dst not in allowed_nodes:
-            continue
-        cost = prices.link[eid] * service.bandwidth
-        for layer in range(m + 1):
-            adjacency[(layer, link.src)].append(
-                ExpEdge((layer, link.src), (layer, link.dst),
-                        cost, link.prop_delay, "link", eid))
-
-    for k, fid in enumerate(chain):
+    n = len(sub.nodes)
+    price, bw = prices.link, service.bandwidth
+    link_cost = [[price[e] * bw for e in ids] for ids in sub.out_link]
+    # per layer: the VNF's delay, and node position -> cost of each
+    # processing edge leaving it
+    placing: list[tuple[float, dict[int, list[float]]]] = []
+    for fid in chain:
         req = slc.vnf_catalog[fid]
-        for vid in sorted(req.deploy_nodes):
-            if vid not in allowed_nodes:
-                continue
-            cost = prices.placement_cost(net, vid, req.vnf.demand)
-            adjacency[(k, vid)].append(
-                ExpEdge((k, vid), (k + 1, vid), cost, req.vnf.proc_delay, "vnf", k))
+        costs: dict[int, list[float]] = {}
+        for vid in req.deploy_nodes:
+            if vid in index:
+                costs.setdefault(index[vid], []).append(
+                    prices.placement_cost(net, vid, req.vnf.demand))
+        placing.append((req.vnf.proc_delay, costs))
+    placing.append((0.0, {}))
 
-    adjacency = {node: tuple(sorted(edges, key=lambda e: (e.dst, e.kind, e.ref)))
-                 for node, edges in adjacency.items()}
-    return ExpandedNetwork(service, m + 1, (0, service.source), (m, service.sink),
-                           adjacency)
+    arcs = []
+    edge_dst: list[int] = []
+    edge_cost: list[float] = []
+    edge_latency: list[float] = []
+    edge_ref: list[int] = []
+    processing = []
+    e = 0
+    for layer, (delay, costs) in enumerate(placing):
+        above = (layer + 1) * n
+        for i, dsts in enumerate(sub.layer_dst(layer)):
+            k = len(dsts)
+            out = tuple(zip(dsts, link_cost[i], range(e, e + k)))
+            edge_dst += dsts
+            edge_cost += link_cost[i]
+            edge_latency += sub.out_delay[i]
+            edge_ref += sub.out_link[i]
+            e += k
+            if i in costs:
+                for cost in costs[i]:
+                    out += ((above + i, cost, e),)
+                    edge_dst.append(above + i)
+                    edge_cost.append(cost)
+                    edge_latency.append(delay)
+                    edge_ref.append(layer)
+                    processing.append(e)
+                    e += 1
+            arcs.append(out)
+    edge_kind = [LINK] * e
+    for p in processing:
+        edge_kind[p] = VNF
+    return ExpandedNetwork(service, sub.nodes, m + 1, index[service.source],
+                           m * n + index[service.sink], arcs, edge_dst, edge_cost,
+                           edge_latency, edge_kind, edge_ref)
 
 
-def map_back(exp: ExpandedNetwork, path: list[ExpEdge]):
-    """Decode an expanded source-to-target path.
+def map_back(exp: ExpandedNetwork, path):
+    """Decode an expanded source-to-target path given as edge numbers.
 
     Returns (placement, routes, cost, latency): placement maps chain position
     to the hosting node; routes lists the physical link ids per logical hop.
@@ -108,14 +185,14 @@ def map_back(exp: ExpandedNetwork, path: list[ExpEdge]):
     cost = 0.0
     latency = 0.0
     hop = 0
-    for edge in path:
-        cost += edge.cost
-        latency += edge.latency
-        if edge.kind == "vnf":
-            placement[edge.ref] = edge.src[1]
+    for e in path:
+        cost += exp.edge_cost[e]
+        latency += exp.edge_latency[e]
+        if exp.edge_kind[e] == VNF:
+            placement[exp.edge_ref[e]] = exp.node(exp.edge_dst[e])[1]
             hop += 1
         else:
-            routes[hop].append(edge.ref)
+            routes[hop].append(exp.edge_ref[e])
     return placement, tuple(tuple(r) for r in routes), cost, latency
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 
 class ScenarioError(Exception):
@@ -120,6 +121,50 @@ class TrustRelation:
         return self._pairs
 
 
+class TrustedSubstrate:
+    """The nodes of the operators in one allowed set and the links between
+    them, in a fixed order: nodes by id, each node's out-links by
+    (dst, link id). Per node position, ``out_link`` holds the out-links' ids,
+    ``out_delay`` their propagation delays and ``out_dst`` the positions of
+    their heads. The links are ordered on first use, so a set whose nodes
+    are only listed costs no more than the list."""
+
+    def __init__(self, net: "PhysicalNetwork", allowed: frozenset[int]):
+        self._net = net
+        self.nodes = tuple(sorted(v for v, n in net.nodes.items()
+                                  if n.operator_id in allowed))
+        self.index = {v: i for i, v in enumerate(self.nodes)}
+        self._layer_dst: list = []
+
+    @cached_property
+    def out_link(self) -> tuple[tuple[int, ...], ...]:
+        links, index = self._net.links, self.index
+        return tuple(tuple(e for _, e in sorted(
+            (index[links[e].dst], e) for e in self._net.out_links[v]
+            if links[e].dst in index)) for v in self.nodes)
+
+    @cached_property
+    def out_dst(self) -> tuple[tuple[int, ...], ...]:
+        links, index = self._net.links, self.index
+        return tuple(tuple(index[links[e].dst] for e in ids) for ids in self.out_link)
+
+    @cached_property
+    def out_delay(self) -> tuple[tuple[float, ...], ...]:
+        links = self._net.links
+        return tuple(tuple(links[e].prop_delay for e in ids) for ids in self.out_link)
+
+    def layer_dst(self, layer: int) -> tuple[tuple[int, ...], ...]:
+        """``out_dst`` in the ``layer``-th copy of a stack of copies of this
+        substrate, where the node at position i of copy l is numbered
+        l * len(nodes) + i. Copies are kept up to the deepest layer asked
+        for, that is one more than the longest chain seen."""
+        while len(self._layer_dst) <= layer:
+            base = len(self._layer_dst) * len(self.nodes)
+            self._layer_dst.append(tuple(tuple(base + d for d in out)
+                                         for out in self.out_dst))
+        return self._layer_dst[layer]
+
+
 class PhysicalNetwork:
     """Immutable multi-operator substrate with adjacency indexes."""
 
@@ -137,17 +182,39 @@ class PhysicalNetwork:
             inn[e.dst].append(e.id)
         self.out_links = {v: tuple(sorted(ids)) for v, ids in out.items()}
         self.in_links = {v: tuple(sorted(ids)) for v, ids in inn.items()}
+        self._substrates: dict[frozenset[int], TrustedSubstrate] = {}
 
     @property
     def num_resources(self) -> int:
         return len(self.resources)
 
-    @property
+    @cached_property
     def function_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(n.id for n in self.nodes.values() if n.is_function_node))
 
+    @cached_property
+    def operator_ids(self) -> tuple[int, ...]:
+        return tuple(sorted(self.operators))
+
+    @cached_property
+    def _operator_nodes(self) -> dict[int, tuple[int, ...]]:
+        out: dict[int, list[int]] = {}
+        for v in sorted(self.nodes):
+            out.setdefault(self.nodes[v].operator_id, []).append(v)
+        return {op: tuple(vs) for op, vs in out.items()}
+
     def nodes_of_operator(self, op_id: int) -> tuple[int, ...]:
-        return tuple(sorted(n.id for n in self.nodes.values() if n.operator_id == op_id))
+        return self._operator_nodes.get(op_id, ())
+
+    def trusted_substrate(self, allowed) -> TrustedSubstrate:
+        """The part of the substrate that operators in ``allowed`` own,
+        computed once per allowed set and then reused. There is at most one
+        entry per subset of the operators, 2 ** len(operators) in all."""
+        allowed = frozenset(allowed)
+        sub = self._substrates.get(allowed)
+        if sub is None:
+            sub = self._substrates[allowed] = TrustedSubstrate(self, allowed)
+        return sub
 
 
 @dataclass(frozen=True)

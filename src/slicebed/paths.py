@@ -1,25 +1,38 @@
 """Candidate path generation on the expanded network.
 
-Dijkstra and Yen-style k-shortest loopless search (with Lawler's rule), then
-latency pruning and a standalone residual-capacity prefilter. Ties between
-equal-weight paths are broken lexicographically on the node sequence, then on
-the edge key sequence, so candidate sets are reproducible and nested as k
-grows.
+Yen's k-shortest loopless search with Lawler's rule, run directly on the
+expanded network's integer adjacency, then latency pruning and a standalone
+residual-capacity prefilter. Paths are edge-number sequences; ``map_back``
+decodes them. Ties between equal-weight paths are broken lexicographically on
+the node sequence, then on the edge key sequence, so candidate sets are
+reproducible and nested as k grows.
+
+Spur searches that cannot reach the first k are cut short. One reverse
+Dijkstra gives h(v), the least weight from v to the target on the whole
+graph, which no spur path can undercut. Once the pool holds r paths, r being
+the number still wanted, let W be the r-th smallest pooled weight: a spur
+entry is not queued when its root weight plus its distance plus h of its node
+exceeds W + 1e-9 * max(1, |W|). Such a path is heavier than r paths already
+pooled, so it is never returned. The margin dwarfs any rounding from adding
+the same weights in another order, so a path that ties W exactly is never
+cut. The heap order is unchanged, so pruning changes no result.
 """
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 
 from .model import (PhysicalNetwork, ResidualState, SliceRequest, TrustRelation,
                     allowed_operators)
-from .expand import ExpandedNetwork, ExpEdge, UnreachableEndpoints, build_expanded
+from .expand import VNF, ExpandedNetwork, UnreachableEndpoints, build_expanded, map_back
 from .pricing import PriceSnapshot
 
 COST = "cost"
 LATENCY = "latency"
 _INF = float("inf")
 _NEG_INF = -_INF
+_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,32 +49,37 @@ class CandidatePath:
     node_units: tuple[tuple[int, int, float], ...]     # (node id, resource, amount)
 
 
-def _flatten(exp: ExpandedNetwork, weight: str):
-    """The layered graph in integer form, built afresh for one search.
-
-    Nodes are numbered in sorted order and edges in (source node, adjacency)
-    order, and ExpandedNetwork keeps each adjacency list sorted by
-    (dst, kind, ref). Comparing number sequences therefore orders paths
-    exactly as comparing their node sequences, then their (kind, ref) key
-    sequences, would. Returns (index, edges, adjacency): node -> number,
-    number -> ExpEdge, and per node a tuple of (dst number, weight, edge
-    number).
-    """
-    nodes = sorted(exp.adjacency)
-    index = {node: i for i, node in enumerate(nodes)}
-    edges: list[ExpEdge] = []
-    adjacency = []
-    for node in nodes:
-        out = []
-        for e in exp.adjacency[node]:
-            out.append((index[e.dst], e.cost if weight == COST else e.latency,
-                        len(edges)))
-            edges.append(e)
-        adjacency.append(tuple(out))
-    return index, edges, adjacency
+def _weighted(exp: ExpandedNetwork, weight: str):
+    """Per-edge weights and per-node (dst, weight, edge) tuples under ``weight``."""
+    if weight == COST:
+        return exp.edge_cost, exp.arcs
+    lat = exp.edge_latency
+    return lat, [tuple((dst, lat[e], e) for dst, _, e in out) for out in exp.arcs]
 
 
-def _dijkstra(adjacency, start, target, best, banned_edges):
+def _distances_to(adjacency, target):
+    """Least weight from every node to ``target``, infinity where there is no
+    path: Dijkstra on the reversed edges."""
+    incoming = [[] for _ in adjacency]
+    for node, out in enumerate(adjacency):
+        for dst, w, _ in out:
+            incoming[dst].append((node, w))
+    dist = [_INF] * len(adjacency)
+    dist[target] = 0.0
+    heap = [(0.0, target)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for src, w in incoming[node]:
+            nd = d + w
+            if nd < dist[src]:
+                dist[src] = nd
+                heapq.heappush(heap, (nd, src))
+    return dist
+
+
+def _dijkstra(adjacency, start, target, best, banned_edges, h, limit):
     """Least-weight path from ``start`` to ``target``, or None.
 
     ``best`` holds per node the least distance queued so far, initially
@@ -71,10 +89,10 @@ def _dijkstra(adjacency, start, target, best, banned_edges):
     the smallest node sequence, then edge sequence, wins: heap entries are
     (dist, node sequence, edge sequence). An entry heavier than one already
     queued for the same node could never be settled first, so it is not
-    queued. Returns (node sequence, edge sequence).
+    queued; nor is one whose distance plus ``h`` of its node, a lower bound
+    on the rest of the way, exceeds ``limit``. Returns (node sequence, edge
+    sequence).
     """
-    if best[start] == _NEG_INF:
-        return None
     heap = [(0.0, (start,), ())]
     while heap:
         dist, nodes, path = heapq.heappop(heap)
@@ -86,7 +104,7 @@ def _dijkstra(adjacency, start, target, best, banned_edges):
             return nodes, path
         for dst, w, eid in adjacency[node]:
             nd = dist + w
-            if nd > best[dst] or eid in banned_edges:
+            if nd > best[dst] or eid in banned_edges or nd + h[dst] > limit:
                 continue
             best[dst] = nd
             heapq.heappush(heap, (nd, nodes + (dst,), path + (eid,)))
@@ -94,7 +112,8 @@ def _dijkstra(adjacency, start, target, best, banned_edges):
 
 
 def shortest_path(exp: ExpandedNetwork, weight: str = COST):
-    """Minimum-weight source-to-target path, or None if disconnected.
+    """Minimum-weight source-to-target path as edge numbers, or None if
+    disconnected.
 
     Among equal-weight paths, returns the one with the lexicographically
     smallest node sequence.
@@ -104,7 +123,8 @@ def shortest_path(exp: ExpandedNetwork, weight: str = COST):
 
 
 def k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST):
-    """Up to k minimum-weight loopless paths in nondecreasing weight.
+    """Up to k minimum-weight loopless paths in nondecreasing weight, each a
+    tuple of edge numbers.
 
     Yen's deviation search with Lawler's rule: a path that deviated from
     its parent at index d spurs only from index d onward, since the spurs
@@ -112,13 +132,15 @@ def k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST):
     and would only repeat paths already queued. Deterministic: candidate
     ordering is (weight, node sequence, edge key sequence), where a path's
     weight is the sum of its root's edge weights plus that of its spur's.
+    Spur searches are pruned by the bound the module docstring describes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    index, edges, adjacency = _flatten(exp, weight)
-    weights = [w for out in adjacency for _, w, _ in out]
-    size, target = len(adjacency), index[exp.target]
-    first = _dijkstra(adjacency, index[exp.source], target, [_INF] * size, ())
+    weights, adjacency = _weighted(exp, weight)
+    size, target = len(adjacency), exp.target_index
+    h = [0.0] * size        # replaced by the real bound once it can prune
+    first = _dijkstra(adjacency, exp.source_index, target, [_INF] * size, (),
+                      h, _INF)
     if first is None:
         return []
 
@@ -127,49 +149,77 @@ def k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST):
     # root edge sequence -> next edges of the found paths that share it
     branches: dict[tuple, set] = {}
     pool: list = []        # (weight, node seq, edge seq, deviation index)
+    lightest: list = []    # the k - len(found) smallest pooled weights, sorted
     nodes, path, deviation = first[0], first[1], 0
+    bounded = False
     while len(found) < k:
         for i in range(len(path)):
             branches.setdefault(path[:i], set()).add(path[i])
+        wanted = k - len(found)
         for i in range(deviation, len(path)):
             root = path[:i]
+            root_w = sum(weights[e] for e in root)
+            limit = _INF
+            if len(lightest) == wanted:
+                if not bounded:
+                    h, bounded = _distances_to(adjacency, target), True
+                cap = lightest[-1]
+                limit = cap + _EPS * max(1.0, abs(cap)) - root_w
+                if h[nodes[i]] > limit:
+                    continue
             best = [_INF] * size
             for node in nodes[:i]:
                 best[node] = _NEG_INF
-            spur = _dijkstra(adjacency, nodes[i], target, best, branches[root])
+            spur = _dijkstra(adjacency, nodes[i], target, best, branches[root],
+                             h, limit)
             if spur is None:
                 continue
             total = root + spur[1]
             if total in seen:
                 continue
             seen.add(total)
-            w = sum(weights[e] for e in root) + sum(weights[e] for e in spur[1])
+            w = root_w + sum(weights[e] for e in spur[1])
             heapq.heappush(pool, (w, nodes[:i] + spur[0], total, i))
+            if len(lightest) < wanted:
+                insort(lightest, w)
+            elif w < lightest[-1]:
+                insort(lightest, w)
+                lightest.pop()
         if not pool:
             break
         _, nodes, path, deviation = heapq.heappop(pool)
+        lightest.pop(0)
         found.append(path)
-    return [[edges[e] for e in p] for p in found]
+    return found
+
+
+def _footprint(exp: ExpandedNetwork, slc: SliceRequest, path):
+    """Bandwidth per link and units per (node, resource) that ``path`` would
+    reserve, with every traversal and every placement charged."""
+    svc = exp.service
+    link_units: dict[int, float] = {}
+    node_units: dict[tuple[int, int], float] = {}
+    for e in path:
+        ref = exp.edge_ref[e]
+        if exp.edge_kind[e] == VNF:
+            vid = exp.node(exp.edge_dst[e])[1]
+            demand = slc.vnf_catalog[svc.vnf_sequence[ref]].vnf.demand
+            for r, amount in enumerate(demand):
+                if amount:
+                    node_units[(vid, r)] = node_units.get((vid, r), 0.0) + amount
+        else:
+            link_units[ref] = link_units.get(ref, 0.0) + svc.bandwidth
+    return link_units, node_units
 
 
 def candidate_from_path(exp: ExpandedNetwork, slc: SliceRequest, path,
-                        index: int) -> CandidatePath:
-    from .expand import map_back
-
+                        index: int, footprint) -> CandidatePath:
+    """The candidate that the edge-number path ``path`` encodes, given the
+    (link units, node units) that ``_footprint`` computed for it."""
     placement, routes, cost, latency = map_back(exp, path)
-    svc = exp.service
-    link_units: dict[int, float] = {}
-    for route in routes:
-        for eid in route:
-            link_units[eid] = link_units.get(eid, 0.0) + svc.bandwidth
-    node_units: dict[tuple[int, int], float] = {}
-    for pos, vid in placement.items():
-        demand = slc.vnf_catalog[svc.vnf_sequence[pos]].vnf.demand
-        for r, amount in enumerate(demand):
-            if amount:
-                node_units[(vid, r)] = node_units.get((vid, r), 0.0) + amount
+    link_units, node_units = footprint
     return CandidatePath(
-        service_id=svc.id,
+        service_id=exp.service.id,
         index=index,
         placement=placement,
         routes=routes,
@@ -180,15 +230,24 @@ def candidate_from_path(exp: ExpandedNetwork, slc: SliceRequest, path,
     )
 
 
-def _fits_standalone(cand: CandidatePath, state: ResidualState) -> bool:
-    eps = 1e-9
-    for eid, amount in cand.link_units:
-        if amount > state.link_residual(eid) + eps:
-            return False
-    for vid, r, amount in cand.node_units:
-        if amount > state.node_residual(vid, r) + eps:
-            return False
-    return True
+def _admitted_footprint(exp: ExpandedNetwork, slc: SliceRequest, path,
+                        state: ResidualState):
+    """``path``'s footprint if the path meets its service's latency bound and
+    the footprint alone fits the residual capacities, else None. Latency is
+    summed in path order, as ``map_back`` sums it, so this decides as
+    checking the built candidate would."""
+    latency = 0.0
+    for e in path:
+        latency += exp.edge_latency[e]
+    if latency > exp.service.max_latency + _EPS:
+        return None
+    link_units, node_units = _footprint(exp, slc, path)
+    if (all(amount <= state.link_residual(eid) + _EPS
+            for eid, amount in link_units.items())
+            and all(amount <= state.node_residual(vid, r) + _EPS
+                    for (vid, r), amount in node_units.items())):
+        return link_units, node_units
+    return None
 
 
 def generate_candidates(net: PhysicalNetwork, trust: TrustRelation,
@@ -206,7 +265,6 @@ def generate_candidates(net: PhysicalNetwork, trust: TrustRelation,
     """
     allowed = allowed_operators(slc, trust)
     out: dict[int, list[CandidatePath]] = {}
-    eps = 1e-9
     for svc in slc.services:
         try:
             exp = build_expanded(net, svc, slc, allowed, prices)
@@ -215,11 +273,9 @@ def generate_candidates(net: PhysicalNetwork, trust: TrustRelation,
             continue
         kept = []
         for path in k_shortest_paths(exp, k, COST):
-            cand = candidate_from_path(exp, slc, path, len(kept))
-            if cand.latency > svc.max_latency + eps:
-                continue
-            if not _fits_standalone(cand, state):
-                continue
-            kept.append(cand)
+            footprint = _admitted_footprint(exp, slc, path, state)
+            if footprint is not None:
+                kept.append(candidate_from_path(exp, slc, path, len(kept),
+                                                footprint))
         out[svc.id] = kept
     return out

@@ -320,7 +320,7 @@ def sample_request(rng: np.random.Generator, scenario: Scenario,
     weights = np.array([t.weight for t in templates])
     tpl = templates[int(rng.choice(len(templates), p=weights / weights.sum()))]
 
-    op_ids = sorted(net.operators)
+    op_ids = net.operator_ids
     origin = int(op_ids[int(rng.integers(0, len(op_ids)))])
     deny = [op for op in op_ids
             if op != origin and float(rng.random()) < tpl.deny_fraction]
@@ -330,10 +330,9 @@ def sample_request(rng: np.random.Generator, scenario: Scenario,
 
     allowed_ops = ({j for j in op_ids if scenario.trust.trusts(origin, j)}
                    | set(allow)) - set(deny)
-    origin_nodes = sorted(net.nodes_of_operator(origin))
-    allowed_nodes = sorted(v for v, n in net.nodes.items()
-                           if n.operator_id in allowed_ops)
-    fn_nodes = sorted(v for v in net.function_nodes)
+    origin_nodes = net.nodes_of_operator(origin)
+    allowed_nodes = net.trusted_substrate(allowed_ops).nodes
+    fn_nodes = net.function_nodes
 
     n_services = int(rng.integers(tpl.services[0], tpl.services[1] + 1))
     services, fids_used = [], set()

@@ -2,9 +2,10 @@
 
 Everything here recomputes answers from first principles (exact rational
 arithmetic, dynamic programming, exhaustive enumeration) and shares no logic
-with the package's solvers. The one exception is the reference k-shortest
-search, which is the package's earlier, plainer Yen implementation kept to
-check the faster one path for path.
+with the package's solvers. The two exceptions are the reference layered
+graph build and the reference k-shortest search: the package's earlier,
+plainer implementations, kept to check the faster ones edge for edge and path
+for path.
 """
 import heapq
 import itertools
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from slicebed.model import allowed_operators, scenario_from_dict, request_from_dict
-from slicebed.expand import ExpandedNetwork, ExpEdge
+from slicebed.expand import ExpandedNetwork, ExpEdge, UnreachableEndpoints
 from slicebed.paths import COST
 
 
@@ -158,6 +159,81 @@ def dfs_all_expanded_paths(exp):
 
     go(exp.source, {exp.source}, [])
     return out
+
+
+def edge_numbers(exp: ExpandedNetwork, path) -> tuple[int, ...]:
+    """The edge numbers of a path given as ExpEdge objects of ``exp``'s view."""
+    number = {edge: e for e, edge in enumerate(exp.edges)}
+    return tuple(number[edge] for edge in path)
+
+
+# ---------------------------------------------------------------------------
+# Reference layered graph: ExpEdge objects, adjacency sorted per node
+# ---------------------------------------------------------------------------
+# The package's build before it emitted the integer graph directly. It builds
+# one ExpEdge per edge and sorts every adjacency list; the package's graph
+# must show the identical edges in the identical order.
+
+class ReferenceExpandedNetwork:
+    """Immutable layered graph with costs and latencies baked in at build time."""
+
+    def __init__(self, service, num_layers: int, source, target,
+                 adjacency: dict):
+        self.service = service
+        self.num_layers = num_layers
+        self.source = source            # (0, s)
+        self.target = target            # (m, t)
+        self.adjacency = adjacency      # node -> tuple of ExpEdge by (dst, kind, ref)
+        self.num_nodes = len(adjacency)
+        self.num_edges = sum(len(v) for v in adjacency.values())
+
+    def out_edges(self, node):
+        return self.adjacency.get(node, ())
+
+
+def reference_build_expanded(net, service, slc, allowed, prices):
+    """Build the layered network for one service of a slice.
+
+    Nodes and links of operators outside ``allowed`` are omitted entirely, so
+    trust compliance is structural. Edge costs use the per-request price
+    snapshot: a link copy costs price_e * bandwidth, a processing edge costs
+    the placement cost of the VNF at that node.
+    """
+    allowed_nodes = {vid for vid, n in net.nodes.items() if n.operator_id in allowed}
+    if service.source not in allowed_nodes or service.sink not in allowed_nodes:
+        raise UnreachableEndpoints(
+            f"service {service.id}: endpoints filtered out by trust")
+
+    chain = service.vnf_sequence
+    m = len(chain)
+    adjacency: dict = {}
+    for layer in range(m + 1):
+        for vid in allowed_nodes:
+            adjacency[(layer, vid)] = []
+
+    for eid in sorted(net.links):
+        link = net.links[eid]
+        if link.src not in allowed_nodes or link.dst not in allowed_nodes:
+            continue
+        cost = prices.link[eid] * service.bandwidth
+        for layer in range(m + 1):
+            adjacency[(layer, link.src)].append(
+                ExpEdge((layer, link.src), (layer, link.dst),
+                        cost, link.prop_delay, "link", eid))
+
+    for k, fid in enumerate(chain):
+        req = slc.vnf_catalog[fid]
+        for vid in sorted(req.deploy_nodes):
+            if vid not in allowed_nodes:
+                continue
+            cost = prices.placement_cost(net, vid, req.vnf.demand)
+            adjacency[(k, vid)].append(
+                ExpEdge((k, vid), (k + 1, vid), cost, req.vnf.proc_delay, "vnf", k))
+
+    adjacency = {node: tuple(sorted(edges, key=lambda e: (e.dst, e.kind, e.ref)))
+                 for node, edges in adjacency.items()}
+    return ReferenceExpandedNetwork(service, m + 1, (0, service.source),
+                                    (m, service.sink), adjacency)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from slicebed.model import (
     scenario_from_dict,
     request_from_dict,
 )
-from slicebed.pricing import PriceSnapshot, PricingPolicy
+from slicebed.pricing import KLEINROCK, PriceSnapshot, PricingPolicy
 
-from oracles import dfs_all_expanded_paths, tiny_request, tiny_scenario
+from oracles import (dfs_all_expanded_paths, edge_numbers, reference_build_expanded,
+                     tiny_request, tiny_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,19 @@ def test_endpoint_outside_trust_raises(demo, demo_req):
         build_expanded(demo.net, svc, demo_req, frozenset({1, 2}), _snap(demo))
 
 
+def test_allowed_may_be_any_set_of_operators(demo, demo_req):
+    """A plain set, a list or a frozenset of the same operators give the same
+    graph from one shared trust-filtered substrate."""
+    snap = _snap(demo)
+    svc = demo_req.services[0]
+    frozen = build_expanded(demo.net, svc, demo_req, frozenset({1, 3}), snap)
+    for allowed in ({1, 3}, [3, 1]):
+        exp = build_expanded(demo.net, svc, demo_req, allowed, snap)
+        assert exp.adjacency == frozen.adjacency
+    assert demo.net.trusted_substrate({3, 1}) is \
+        demo.net.trusted_substrate(frozenset({1, 3}))
+
+
 def test_empty_deployment_layer_has_no_through_path():
     scn = _line_scenario()
     # deploy f0 only at node 1, then disallow... instead: deploy set {1} but
@@ -159,7 +173,7 @@ def test_map_back_round_trip():
     exp = build_expanded(scn.net, req.services[0], req,
                          frozenset({1}), _snap(scn))
     for path in dfs_all_expanded_paths(exp):
-        placement, routes, cost, latency = map_back(exp, path)
+        placement, routes, cost, latency = map_back(exp, edge_numbers(exp, path))
         # placement covers both chain positions, routes cover m+1 hops
         assert sorted(placement) == [0, 1]
         assert placement[1] == 1
@@ -185,7 +199,7 @@ def test_same_node_hosts_consecutive_vnfs():
                          frozenset({1}), _snap(scn))
     hits = []
     for path in dfs_all_expanded_paths(exp):
-        placement, routes, _, _ = map_back(exp, path)
+        placement, routes, _, _ = map_back(exp, edge_numbers(exp, path))
         if placement == {0: 1, 1: 1}:
             hits.append(routes)
     assert hits
@@ -212,7 +226,7 @@ def test_random_expanded_paths_decode_consistently():
                 continue
             paths = dfs_all_expanded_paths(exp)
             for path in paths[:50]:
-                placement, routes, cost, latency = map_back(exp, path)
+                placement, routes, cost, latency = map_back(exp, edge_numbers(exp, path))
                 assert sorted(placement) == list(range(len(svc.vnf_sequence)))
                 assert len(routes) == len(svc.vnf_sequence) + 1
                 # recompute cost/latency from physical data
@@ -247,3 +261,95 @@ def test_to_dot_mentions_every_edge(demo, demo_req):
     dot = to_dot(exp)
     assert dot.startswith("digraph")
     assert dot.count("->") == exp.num_edges
+
+
+def _parallel_link_instance(rng):
+    """Random scenario and request with parallel links, one to three
+    operators, congestion prices, and chains drawn from two VNFs whose
+    deployment sets overlap, so one node can host consecutive positions."""
+    n = rng.randint(3, 6)
+    ops = rng.randint(1, 3)
+
+    def link(a, b):
+        return {"endpoints": [a, b], "capacity": 8.0,
+                "directed": rng.random() < 0.3,
+                "prop_delay": round(rng.uniform(0.1, 2.0), 2),
+                "unit_price": rng.choice([0.1, 0.2, 0.3, 1.0, 1.7])}
+
+    links = [link(i, (i + 1) % n) for i in range(n)]
+    for _ in range(rng.randint(1, 4)):
+        links.append(link(*rng.sample(range(n), 2)))
+    for _ in range(rng.randint(1, 2)):
+        links.append(link(*rng.choice(links)["endpoints"]))     # parallel link
+    scn = scenario_from_dict({
+        "resources": [{"id": 0, "name": "cpu"}, {"id": 1, "name": "mem"}],
+        "operators": [{"id": i} for i in range(1, ops + 1)],
+        "nodes": [{"id": i, "operator_id": rng.randint(1, ops),
+                   "is_function_node": True, "capacity": [9.0, 9.0],
+                   "unit_price": [round(rng.uniform(0.1, 2.0), 2), 0.3]}
+                  for i in range(n)],
+        "links": links,
+        "trust": {str(i): sorted({i} | {j for j in range(1, ops + 1)
+                                        if rng.random() < 0.6})
+                  for i in range(1, ops + 1)},
+        "vnfs": [{"id": 0, "name": "f0", "proc_delay": 0.3, "demand": [1.0, 0.0]},
+                 {"id": 1, "name": "f1", "proc_delay": 0.1, "demand": [2.0, 1.0]}],
+    })
+    services = []
+    for sid in range(rng.randint(1, 2)):
+        src, dst = rng.sample(range(n), 2)
+        services.append({"id": sid, "source": src, "sink": dst,
+                         "vnf_sequence": [rng.choice([0, 1])
+                                          for _ in range(rng.randint(0, 3))],
+                         "bandwidth": float(rng.randint(1, 3)), "max_latency": 50.0})
+    fids = sorted({f for s in services for f in s["vnf_sequence"]})
+    req = request_from_dict({
+        "id": "r", "origin_operator": rng.randint(1, ops), "services": services,
+        "vnf_catalog": [{"vnf_id": f, "agg_bandwidth": sum(
+                             s["bandwidth"] for s in services if f in s["vnf_sequence"]),
+                         "deploy_nodes": sorted(rng.sample(range(n), rng.randint(1, n)))}
+                        for f in fids],
+    }, scn)
+    state = ResidualState(scn.net)
+    for eid, l in scn.net.links.items():
+        state.used_bw[eid] = rng.choice([0.0, 0.0, 1.0, 3.0, 5.5]) * l.capacity / 8.0
+    return scn, req, PriceSnapshot(PricingPolicy(KLEINROCK), scn.net, state)
+
+
+def test_graph_matches_reference_build_edge_for_edge(demo, demo_req):
+    """The integer graph's edge view equals the plain ExpEdge build kept in the
+    oracles: same nodes, and per node the same edges in the same order with
+    the same endpoints, cost, latency, kind and ref."""
+    cases = [(demo, demo_req, _snap(demo))]
+    rng = random.Random(20261020)
+    cases += [_parallel_link_instance(rng) for _ in range(150)]
+    built = consecutive = 0
+    for scn, req, snap in cases:
+        allowed = allowed_operators(req, scn.trust)
+        for svc in req.services:
+            try:
+                ref = reference_build_expanded(scn.net, svc, req, allowed, snap)
+            except UnreachableEndpoints:
+                with pytest.raises(UnreachableEndpoints):
+                    build_expanded(scn.net, svc, req, allowed, snap)
+                continue
+            exp = build_expanded(scn.net, svc, req, allowed, snap)
+            assert (exp.source, exp.target) == (ref.source, ref.target)
+            assert (exp.num_layers, exp.num_nodes, exp.num_edges) == \
+                (ref.num_layers, ref.num_nodes, ref.num_edges)
+            assert list(exp.adjacency) == sorted(ref.adjacency)
+            for node in sorted(ref.adjacency):
+                assert exp.adjacency[node] == ref.adjacency[node]
+            # edges are numbered in adjacency order, and the per-edge lists
+            # agree with the adjacency tuples
+            assert [e for out in exp.arcs for _, _, e in out] == list(range(exp.num_edges))
+            for i, out in enumerate(exp.arcs):
+                for dst, cost, e in out:
+                    assert (exp.edge_dst[e], exp.edge_cost[e]) == (dst, cost)
+                    assert exp.edges[e].src == exp.node(i)
+            built += 1
+            chain = svc.vnf_sequence
+            consecutive += any(
+                set(req.vnf_catalog[a].deploy_nodes) & set(req.vnf_catalog[b].deploy_nodes)
+                for a, b in zip(chain, chain[1:]))
+    assert built > 150 and consecutive > 30

@@ -1,4 +1,7 @@
 """k-shortest path search versus exhaustive enumeration, and candidate pruning."""
+import functools
+import math
+import operator
 import random
 
 import networkx as nx
@@ -24,8 +27,20 @@ from slicebed.paths import (
 )
 from slicebed.pricing import PriceSnapshot, PricingPolicy
 
-from oracles import (dfs_all_expanded_paths, reference_k_shortest_paths,
+from slicebed import paths
+from oracles import (dfs_all_expanded_paths, edge_numbers, reference_k_shortest_paths,
                      tiny_request, tiny_scenario)
+
+
+def _search(exp, k, weight):
+    """k_shortest_paths with each edge-number path shown as its ExpEdge list."""
+    return [[exp.edges[e] for e in p] for p in k_shortest_paths(exp, k, weight)]
+
+
+def _candidate(exp, req, path, index):
+    """The candidate of edge-number ``path``, its footprint computed afresh."""
+    return candidate_from_path(exp, req, path, index,
+                               paths._footprint(exp, req, path))
 
 
 def _weight(path, attr):
@@ -70,10 +85,11 @@ def _instances(seed, count):
                 return
 
 
-def _integer_instances(seed, count, max_paths=300):
+def _integer_instances(seed, count, max_paths=300, draw=lambda rng: float(rng.randint(0, 2))):
     """Yield (exp, all_paths) for random layered graphs with small integer
     costs and latencies, so many paths tie exactly, and with parallel
-    physical links, so equal node sequences differ only in link ids."""
+    physical links, so equal node sequences differ only in link ids.
+    ``draw`` picks each link's delay and price and each node's price."""
     rng = random.Random(seed)
     made = 0
     while made < count:
@@ -82,8 +98,8 @@ def _integer_instances(seed, count, max_paths=300):
         def link(a, b):
             return {"endpoints": [a, b], "capacity": 5.0,
                     "directed": rng.random() < 0.3,
-                    "prop_delay": float(rng.randint(0, 2)),
-                    "unit_price": float(rng.randint(0, 2))}
+                    "prop_delay": draw(rng),
+                    "unit_price": draw(rng)}
 
         links = [link(i, (i + 1) % n) for i in range(n)]
         for _ in range(rng.randint(1, 3)):
@@ -93,7 +109,7 @@ def _integer_instances(seed, count, max_paths=300):
             "resources": [{"id": 0, "name": "cpu"}],
             "operators": [{"id": 1}],
             "nodes": [{"id": i, "operator_id": 1, "is_function_node": True,
-                       "capacity": [9.0], "unit_price": [float(rng.randint(0, 2))]}
+                       "capacity": [9.0], "unit_price": [draw(rng)]}
                       for i in range(n)],
             "links": links,
             "trust": {"1": [1]},
@@ -139,24 +155,38 @@ def _networkx_weights(exp, attr):
             for p in nx.shortest_simple_paths(g, exp.source, exp.target, weight="w")]
 
 
+def _decimal(rng):
+    return rng.choice((0.1, 0.2, 0.3))
+
+
 def test_search_matches_reference_path_for_path():
     """The same ordered paths as the plain Yen search kept in the oracles,
-    for k in {1, 2, 8, all} under both weights, on graphs with float costs
-    and on graphs with many exact ties and parallel links."""
-    graphs = [(exp, paths) for exp, paths, *_ in _instances(424242, 40)]
+    for k in {1, 2, 3, 8, all} under both weights, on graphs with float
+    costs, on graphs with many exact ties and parallel links, and on graphs
+    with costs of 0.1, 0.2 and 0.3, whose path sums depend on the order of
+    addition. The bound that prunes spur searches must cut no tie at the
+    k-th weight, so the instances must contain such ties."""
+    graphs = [(exp, all_paths) for exp, all_paths, *_ in _instances(424242, 40)]
     graphs += list(_integer_instances(8675309, 60))
+    graphs += list(_integer_instances(1618033, 60, draw=_decimal))
+    kth_ties = inexact = 0
     for exp, all_paths in graphs:
-        for weight in (COST, LATENCY):
-            for k in (1, 2, 8, len(all_paths) + 1):
-                got = k_shortest_paths(exp, k, weight)
+        for weight, attr in ((COST, "cost"), (LATENCY, "latency")):
+            sums = sorted(_weight(p, attr) for p in all_paths)
+            kth_ties += sum(sums[k - 1] == sums[k] for k in (1, 2, 3, 8) if k < len(sums))
+            inexact += any(functools.reduce(operator.add, (getattr(e, attr) for e in p), 0.0)
+                           != math.fsum(getattr(e, attr) for e in p) for p in all_paths)
+            for k in (1, 2, 3, 8, len(all_paths) + 1):
+                got = _search(exp, k, weight)
                 ref = reference_k_shortest_paths(exp, k, weight)
-                assert [_keyseq(p) for p in got] == [_keyseq(p) for p in ref]
+                assert got == ref
+    assert kth_ties > 100 and inexact > 30
 
 
 def test_weights_match_networkx_on_integer_graphs():
     for exp, all_paths in _integer_instances(5551212, 40):
         for weight, attr in ((COST, "cost"), (LATENCY, "latency")):
-            got = [_weight(p, attr) for p in k_shortest_paths(exp, len(all_paths) + 1, weight)]
+            got = [_weight(p, attr) for p in _search(exp, len(all_paths) + 1, weight)]
             assert got == _networkx_weights(exp, attr)
 
 
@@ -165,7 +195,7 @@ def test_yen_matches_exhaustive_enumeration():
     seen = 0
     for exp, all_paths, *_ in _instances(20240817, 120):
         total = len(all_paths)
-        found = k_shortest_paths(exp, total + 5, COST)
+        found = _search(exp, total + 5, COST)
         assert len(found) == total
         assert {_keyseq(p) for p in found} == {_keyseq(p) for p in all_paths}
         weights = [_weight(p, "cost") for p in found]
@@ -186,8 +216,8 @@ def test_first_path_is_dijkstra_shortest():
             assert k_shortest_paths(exp, 1, COST) == []
             continue
         best = min(_weight(p, "cost") for p in all_paths)
-        sp = shortest_path(exp)
-        ks = k_shortest_paths(exp, 1, COST)
+        sp = [exp.edges[e] for e in shortest_path(exp)]
+        ks = _search(exp, 1, COST)
         assert sp is not None and len(ks) == 1
         assert _weight(sp, "cost") == pytest.approx(best)
         assert _keyseq(ks[0]) == _keyseq(sp)
@@ -203,11 +233,11 @@ def test_prefix_property_and_determinism():
         total = len(all_paths)
         if total == 0:
             continue
-        full = [_keyseq(p) for p in k_shortest_paths(exp, total, COST)]
+        full = [_keyseq(p) for p in _search(exp, total, COST)]
         for k in (1, 2, total // 2 or 1):
-            sub = [_keyseq(p) for p in k_shortest_paths(exp, k, COST)]
+            sub = [_keyseq(p) for p in _search(exp, k, COST)]
             assert sub == full[:min(k, total)]
-        again = [_keyseq(p) for p in k_shortest_paths(exp, total, COST)]
+        again = [_keyseq(p) for p in _search(exp, total, COST)]
         assert again == full
 
 
@@ -215,7 +245,7 @@ def test_latency_weight_mode():
     for exp, all_paths, *_ in _instances(5150, 40):
         if not all_paths:
             continue
-        found = k_shortest_paths(exp, len(all_paths), LATENCY)
+        found = _search(exp, len(all_paths), LATENCY)
         lats = [_weight(p, "latency") for p in found]
         assert all(a <= b + 1e-9 for a, b in zip(lats, lats[1:]))
         assert lats[0] == pytest.approx(
@@ -226,7 +256,7 @@ def test_candidate_footprint_construction():
     for exp, all_paths, req, snap, scn in _instances(31337, 25):
         svc = exp.service
         for i, path in enumerate(all_paths[:20]):
-            cand = candidate_from_path(exp, req, path, i)
+            cand = _candidate(exp, req, edge_numbers(exp, path), i)
             assert isinstance(cand, CandidatePath)
             assert cand.service_id == svc.id
             # footprint bandwidth counts each traversal of a link
@@ -313,3 +343,73 @@ def test_generate_candidates_untrustable_raises():
     bad = request_from_dict(doc, scn)
     with pytest.raises(UntrustableRequest):
         generate_candidates(scn.net, scn.trust, state, bad, 8, snap)
+
+
+def test_generate_candidates_calls_the_seams_through_the_module(monkeypatch):
+    """A per-layer profiler times candidate generation by replacing
+    ``build_expanded``, ``k_shortest_paths`` and ``candidate_from_path`` on
+    the ``paths`` module, and reads the graph's shape from build_expanded's
+    five positional arguments (net, service, slc, allowed, prices) and its
+    result's ``num_edges``. generate_candidates must keep calling them that
+    way."""
+    scn, req, state, snap = _demo_setup()
+    calls = {"build_expanded": [], "k_shortest_paths": [], "candidate_from_path": []}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(paths, name), **kwargs):
+            result = _original(*args, **kwargs)
+            calls[_name].append((args, kwargs, result))
+            return result
+        monkeypatch.setattr(paths, name, counting)
+    cands = generate_candidates(scn.net, scn.trust, state, req, 8, snap)
+    assert len(calls["build_expanded"]) == len(req.services)
+    for args, kwargs, result in calls["build_expanded"]:
+        assert len(args) == 5 and not kwargs
+        net, service, slc, allowed, prices = args
+        assert (net, slc, prices) == (scn.net, req, snap)
+        assert service in req.services and isinstance(allowed, frozenset)
+        assert result.num_edges > 0
+    assert len(calls["k_shortest_paths"]) == len(req.services)
+    assert len(calls["candidate_from_path"]) == sum(map(len, cands.values())) > 0
+
+
+def test_prefilter_keeps_what_building_every_candidate_would():
+    """Checking latency and standalone fit from edge numbers keeps exactly
+    the candidates, with the same indices, that building each path's
+    candidate and then checking it keeps."""
+    rng = random.Random(27182818)
+    compared = dropped = 0
+    while compared < 80:
+        scn = tiny_scenario(rng, max_nodes=5)
+        req = tiny_request(rng, scn)
+        if req is None:
+            continue
+        try:
+            allowed = allowed_operators(req, scn.trust)
+        except Exception:
+            continue
+        state = ResidualState(scn.net)
+        for eid, link in scn.net.links.items():
+            state.used_bw[eid] = link.capacity * rng.choice([0.0, 0.0, 0.5, 1.0])
+        for vid, node in scn.net.nodes.items():
+            state.used_node[(vid, 0)] = node.capacity[0] * rng.choice([0.0, 0.5, 1.0])
+        snap = PriceSnapshot(PricingPolicy(), scn.net, state)
+        got = generate_candidates(scn.net, scn.trust, state, req, 8, snap)
+        for svc in req.services:
+            try:
+                exp = build_expanded(scn.net, svc, req, allowed, snap)
+            except UnreachableEndpoints:
+                assert got[svc.id] == []
+                continue
+            kept = []
+            for path in k_shortest_paths(exp, 8, COST):
+                cand = _candidate(exp, req, path, len(kept))
+                fits = (all(a <= state.link_residual(e) + 1e-9 for e, a in cand.link_units)
+                        and all(a <= state.node_residual(v, r) + 1e-9
+                                for v, r, a in cand.node_units))
+                if cand.latency <= svc.max_latency + 1e-9 and fits:
+                    kept.append(cand)
+                else:
+                    dropped += 1
+            assert got[svc.id] == kept
+            compared += 1
+    assert dropped > 50
