@@ -1,31 +1,40 @@
 """Node-Link ILP: exact per-request embedding over the physical network.
 
-Builds one integer program per slice request with placement binaries x[f,v]
-and per-hop routing binaries y[g,h,e], solves it with branch-and-bound, and
-decodes the assignment back into placements and physical routes. This is the
-benchmark engine; the path-based engine in embed_pl trades optimality for
-speed.
+Builds one integer program per slice request, solves it with
+branch-and-bound, and decodes the assignment back into placements and
+physical routes. This is the benchmark engine; the path-based engine in
+embed_pl trades optimality for speed.
 
-Constraints, per service g with chain f_1..f_m (hops h = 0..m run
-source -> f_1 -> ... -> f_m -> sink):
+The program is a unit flow per service on the layered graph that embed_pl
+searches (``expand.build_expanded``). For a chain f_1..f_m, layer h carries
+hop h of source -> f_1 -> ... -> f_m -> sink: link copies route within a
+layer, and the processing edge from node v in layer h to v in layer h+1
+places f_{h+1} at v. Each processing edge whose node has room for the VNF
+becomes a placement binary x[f,v], and each link copy with room for the
+service's bandwidth a routing binary y[g,h,e]. With shared accounting the
+processing edges of one VNF id share their x columns.
+
+Constraints, per service g:
 
   C1  each chain position picks exactly one deployment node
-  C2  per-hop flow conservation, hop endpoints tied to the x variables
+  C2  flow conservation at every layered node: out - in is 1 at the source
+      in layer 0, -1 at the sink in layer m and 0 elsewhere
   C3  link capacity against current residuals
   C4  node resources against current residuals
   C5  end-to-end latency: link delays plus fixed processing delays
 
-Operators outside the slice's trusted set are filtered out before any
-variable is created, so the model never sees disallowed nodes or links.
+The graph holds only the nodes and links of the operators the slice trusts,
+so the model never sees disallowed ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .expand import VNF, ExpandedNetwork, UnreachableEndpoints, build_expanded
 from .milp import BINARY, IlpModel, IlpSolution, MilpError, branch_and_bound
 from .model import (Blocked, Embedding, PhysicalNetwork, ResidualState,
                     ServiceEmbedding, SliceRequest, TrustRelation,
-                    allowed_operators)
+                    UntrustableRequest, allowed_operators, blocked_by_solver)
 from .pricing import PriceSnapshot
 
 _EPS = 1e-9
@@ -34,7 +43,6 @@ _EPS = 1e-9
 @dataclass
 class NlMeta:
     """Decode metadata: variable ids by role."""
-    allowed_nodes: frozenset[int]
     shared: bool
     # default mode: (service_id, position) -> {node: var};
     # shared mode:  vnf_id -> {node: var}
@@ -47,6 +55,24 @@ def _placement_key(svc_id: int, pos: int, fid: int, shared: bool):
     return fid if shared else (svc_id, pos)
 
 
+def _edges_by_layer(exp: ExpandedNetwork):
+    """Per layer of ``exp``: its processing edges as (node id, edge) in node
+    order, and its link copies as (link id, edge) in link id order."""
+    n = len(exp.substrate_nodes)
+    placing = [[] for _ in range(exp.num_layers)]
+    routing = [[] for _ in range(exp.num_layers)]
+    for i, out in enumerate(exp.arcs):
+        layer, at = divmod(i, n)
+        for _, _, e in out:
+            if exp.edge_kind[e] == VNF:
+                placing[layer].append((exp.substrate_nodes[at], e))
+            else:
+                routing[layer].append((exp.edge_ref[e], e))
+    for links in routing:
+        links.sort()
+    return placing, routing
+
+
 def build_nl(net: PhysicalNetwork, trust: TrustRelation, state: ResidualState,
              slc: SliceRequest, prices: PriceSnapshot,
              shared_vnf_per_slice: bool = False):
@@ -56,152 +82,98 @@ def build_nl(net: PhysicalNetwork, trust: TrustRelation, state: ResidualState,
     admissible placement or endpoint before any solving is needed.
     Raises UntrustableRequest if the trusted operator set is empty.
     """
-    allowed_ops = allowed_operators(slc, trust)
-    allowed_nodes = frozenset(v for v, n in net.nodes.items()
-                              if n.operator_id in allowed_ops)
+    allowed = allowed_operators(slc, trust)
+    layered = []
     for svc in slc.services:
-        if svc.source not in allowed_nodes or svc.sink not in allowed_nodes:
+        try:
+            exp = build_expanded(net, svc, slc, allowed, prices)
+        except UnreachableEndpoints:
             return Blocked("unreachable_endpoints",
                            f"service {svc.id}: endpoint operator not trusted")
+        layered.append((svc, exp, *_edges_by_layer(exp)))
 
     model = IlpModel()
-    meta = NlMeta(allowed_nodes=allowed_nodes, shared=shared_vnf_per_slice)
+    meta = NlMeta(shared=shared_vnf_per_slice)
 
     # --- placement variables (C1 groups) ------------------------------------
-    def placement_sites(fid):
-        slot = slc.vnf_catalog[fid]
-        trusted = [v for v in sorted(slot.deploy_nodes) if v in allowed_nodes]
-        if not trusted:
-            return None, None
-        demand = slot.vnf.demand
-        fitting = [v for v in trusted
-                   if all(amount <= state.node_residual(v, r) + _EPS
-                          for r, amount in enumerate(demand) if amount)]
-        return trusted, fitting
-
-    seen_groups = set()
-    for svc in slc.services:
+    node_rows: dict[tuple[int, int], dict[int, float]] = {}
+    for svc, exp, placing, _ in layered:
         for pos, fid in enumerate(svc.vnf_sequence):
             key = _placement_key(svc.id, pos, fid, shared_vnf_per_slice)
-            if key in seen_groups:
+            if key in meta.x_groups:
                 continue
-            seen_groups.add(key)
-            trusted, fitting = placement_sites(fid)
-            if trusted is None:
+            if not placing[pos]:
                 return Blocked("no_placement_nodes",
                                f"vnf {fid}: no trusted deployment node")
+            demand = slc.vnf_catalog[fid].vnf.demand
+            fitting = [(v, e) for v, e in placing[pos]
+                       if all(amount <= state.node_residual(v, r) + _EPS
+                              for r, amount in enumerate(demand) if amount)]
             if not fitting:
                 return Blocked("infeasible",
                                f"vnf {fid}: no deployment node with residual capacity")
-            group = {}
-            demand = slc.vnf_catalog[fid].vnf.demand
-            for v in fitting:
-                cost = prices.placement_cost(net, v, demand)
-                group[v] = model.add_variable(f"x_{key}_{v}", BINARY, obj=cost)
-            meta.x_groups[key] = group
+            group = meta.x_groups[key] = {}
+            for v, e in fitting:
+                var = group[v] = model.add_variable(f"x_{key}_{v}", BINARY,
+                                                    obj=exp.edge_cost[e])
+                for r, amount in enumerate(demand):
+                    if amount:
+                        node_rows.setdefault((v, r), {})[var] = amount
             model.add_constraint({var: 1.0 for var in group.values()}, "=", 1.0,
                                  name=f"C1_{key}")
 
-    # --- routing variables --------------------------------------------------
-    allowed_links = [eid for eid in sorted(net.links)
-                     if net.links[eid].src in allowed_nodes
-                     and net.links[eid].dst in allowed_nodes]
-    for svc in slc.services:
-        hops = len(svc.vnf_sequence) + 1
-        for h in range(hops):
-            for eid in allowed_links:
+    # --- routing variables and C2, service by service -----------------------
+    link_rows: dict[int, dict[int, float]] = {}
+    delay_rows = []
+    for svc, exp, placing, routing in layered:
+        column: list[int | None] = [None] * exp.num_edges
+        for pos, fid in enumerate(svc.vnf_sequence):
+            group = meta.x_groups[_placement_key(svc.id, pos, fid,
+                                                 shared_vnf_per_slice)]
+            for v, e in placing[pos]:
+                column[e] = group.get(v)
+        delays = {}
+        for h, links in enumerate(routing):
+            for eid, e in links:
                 if svc.bandwidth > state.link_residual(eid) + _EPS:
                     continue        # this service can never fit on the link
-                cost = prices.link[eid] * svc.bandwidth
-                meta.y_vars[(svc.id, h, eid)] = model.add_variable(
-                    f"y_{svc.id}_{h}_{eid}", BINARY, obj=cost)
+                var = meta.y_vars[(svc.id, h, eid)] = model.add_variable(
+                    f"y_{svc.id}_{h}_{eid}", BINARY, obj=exp.edge_cost[e])
+                column[e] = var
+                link_rows.setdefault(eid, {})[var] = svc.bandwidth
+                delays[var] = exp.edge_latency[e]
+        delay_rows.append(delays)
 
-    # --- C2: flow conservation per (service, hop, node) ---------------------
-    out_by_node = {v: [] for v in allowed_nodes}
-    in_by_node = {v: [] for v in allowed_nodes}
-    for eid in allowed_links:
-        link = net.links[eid]
-        out_by_node[link.src].append(eid)
-        in_by_node[link.dst].append(eid)
-
-    for svc in slc.services:
-        m = len(svc.vnf_sequence)
-        for h in range(m + 1):
-            for v in sorted(allowed_nodes):
-                coeffs: dict[int, float] = {}
-                for eid in out_by_node[v]:
-                    var = meta.y_vars.get((svc.id, h, eid))
-                    if var is not None:
-                        coeffs[var] = coeffs.get(var, 0.0) + 1.0
-                for eid in in_by_node[v]:
-                    var = meta.y_vars.get((svc.id, h, eid))
-                    if var is not None:
-                        coeffs[var] = coeffs.get(var, 0.0) - 1.0
-                rhs = 0.0
-                if h == 0:
-                    if v == svc.source:
-                        rhs += 1.0
-                else:
-                    fid = svc.vnf_sequence[h - 1]
-                    key = _placement_key(svc.id, h - 1, fid, shared_vnf_per_slice)
-                    var = meta.x_groups[key].get(v)
-                    if var is not None:
-                        coeffs[var] = coeffs.get(var, 0.0) - 1.0
-                if h == m:
-                    if v == svc.sink:
-                        rhs -= 1.0
-                else:
-                    fid = svc.vnf_sequence[h]
-                    key = _placement_key(svc.id, h, fid, shared_vnf_per_slice)
-                    var = meta.x_groups[key].get(v)
-                    if var is not None:
-                        coeffs[var] = coeffs.get(var, 0.0) + 1.0
-                coeffs = {k: c for k, c in coeffs.items() if c != 0.0}
-                if coeffs or rhs != 0.0:
-                    model.add_constraint(coeffs, "=", rhs,
-                                         name=f"C2_{svc.id}_{h}_{v}")
+        flow: list[dict[int, float]] = [{} for _ in range(exp.num_nodes)]
+        for i, out in enumerate(exp.arcs):
+            for dst, _, e in out:
+                var = column[e]
+                if var is not None:
+                    flow[i][var] = flow[i].get(var, 0.0) + 1.0
+                    flow[dst][var] = flow[dst].get(var, 0.0) - 1.0
+        for i, row in enumerate(flow):
+            # a shared x column leaving and entering one node cancels out
+            coeffs = {var: c for var, c in row.items() if c}
+            rhs = float(i == exp.source_index) - float(i == exp.target_index)
+            if coeffs or rhs:
+                h, v = exp.node(i)
+                model.add_constraint(coeffs, "=", rhs, name=f"C2_{svc.id}_{h}_{v}")
 
     # --- C3: link capacity --------------------------------------------------
-    for eid in allowed_links:
-        coeffs = {}
-        for svc in slc.services:
-            for h in range(len(svc.vnf_sequence) + 1):
-                var = meta.y_vars.get((svc.id, h, eid))
-                if var is not None:
-                    coeffs[var] = svc.bandwidth
-        if coeffs:
-            model.add_constraint(coeffs, "<=", max(0.0, state.link_residual(eid)),
-                                 name=f"C3_{eid}")
+    for eid in sorted(link_rows):
+        model.add_constraint(link_rows[eid], "<=", max(0.0, state.link_residual(eid)),
+                             name=f"C3_{eid}")
 
     # --- C4: node resources -------------------------------------------------
-    usage: dict[tuple[int, int], dict[int, float]] = {}
-    for key, group in meta.x_groups.items():
-        # key is the vnf id directly (shared) or (service_id, position)
-        if shared_vnf_per_slice:
-            demand = slc.vnf_catalog[key].vnf.demand
-        else:
-            svc = next(s for s in slc.services if s.id == key[0])
-            demand = slc.vnf_catalog[svc.vnf_sequence[key[1]]].vnf.demand
-        for v, var in group.items():
-            for r, amount in enumerate(demand):
-                if amount:
-                    row = usage.setdefault((v, r), {})
-                    row[var] = row.get(var, 0.0) + amount
-    for (v, r) in sorted(usage):
-        model.add_constraint(usage[(v, r)], "<=",
+    for (v, r) in sorted(node_rows):
+        model.add_constraint(node_rows[(v, r)], "<=",
                              max(0.0, state.node_residual(v, r)),
                              name=f"C4_{v}_{r}")
 
     # --- C5: latency budget -------------------------------------------------
-    for svc in slc.services:
+    for svc, delays in zip(slc.services, delay_rows):
         fixed = sum(slc.vnf_catalog[f].vnf.proc_delay for f in svc.vnf_sequence)
-        coeffs = {}
-        for h in range(len(svc.vnf_sequence) + 1):
-            for eid in allowed_links:
-                var = meta.y_vars.get((svc.id, h, eid))
-                if var is not None:
-                    coeffs[var] = net.links[eid].prop_delay
-        model.add_constraint(coeffs, "<=", svc.max_latency - fixed,
+        model.add_constraint(delays, "<=", svc.max_latency - fixed,
                              name=f"C5_{svc.id}")
 
     return model, meta
@@ -300,8 +272,6 @@ def solve_nl_detailed(net: PhysicalNetwork, trust: TrustRelation,
                       prices: PriceSnapshot, *, time_limit_ms: float | None = None,
                       shared_vnf_per_slice: bool = False):
     """Like solve_nl but also returns the raw IlpSolution (or None)."""
-    from .model import UntrustableRequest
-
     try:
         built = build_nl(net, trust, state, slc, prices, shared_vnf_per_slice)
     except UntrustableRequest as exc:
@@ -310,12 +280,9 @@ def solve_nl_detailed(net: PhysicalNetwork, trust: TrustRelation,
         return built, None
     model, meta = built
     sol = branch_and_bound(model, time_limit_ms=time_limit_ms)
-    if sol.status == "unbounded":
-        raise MilpError("embedding model unbounded; prices must be nonnegative")
-    if sol.status == "infeasible":
-        return Blocked("infeasible"), sol
-    if sol.assignment is None:
-        return Blocked("time_limit_no_incumbent"), sol
+    blocked = blocked_by_solver(sol)
+    if blocked is not None:
+        return blocked, sol
     return decode_nl(net, slc, prices, meta, sol), sol
 
 

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import BINARY, EPS_OBJ, IlpModel, IlpSolution, MilpError, branch_and_bound
+from .milp import BINARY, EPS_OBJ, IlpModel, IlpSolution, branch_and_bound
 from .model import (Blocked, Embedding, PhysicalNetwork, ResidualState,
-                    ServiceEmbedding, SliceRequest, TrustRelation)
+                    ServiceEmbedding, SliceRequest, TrustRelation,
+                    UntrustableRequest, blocked_by_solver)
 from .paths import CandidatePath, generate_candidates
 from .pricing import PriceSnapshot
 
@@ -144,8 +145,6 @@ def solve_pl_detailed(net: PhysicalNetwork, trust: TrustRelation,
     Pass ``candidates`` to reuse a previously generated set (the per-request
     snapshot must match).
     """
-    from .model import UntrustableRequest
-
     if candidates is None:
         try:
             candidates = generate_candidates(net, trust, state, slc, k, prices)
@@ -159,12 +158,9 @@ def solve_pl_detailed(net: PhysicalNetwork, trust: TrustRelation,
         return built, None
     model, meta = built
     sol = branch_and_bound(model, time_limit_ms=time_limit_ms)
-    if sol.status == "unbounded":
-        raise MilpError("path choice model unbounded; costs must be nonnegative")
-    if sol.status == "infeasible":
-        return Blocked("infeasible"), sol
-    if sol.assignment is None:
-        return Blocked("time_limit_no_incumbent"), sol
+    blocked = blocked_by_solver(sol)
+    if blocked is not None:
+        return blocked, sol
     return decode_pl(slc, meta, sol.assignment, sol.status == "optimal"), sol
 
 

@@ -1,8 +1,9 @@
 """Self-contained binary linear programming core.
 
 Model container, LP relaxation via a bounded-variable two-phase simplex,
-exact branch-and-bound, and an exhaustive-enumeration oracle for small
-instances. Both embedding formulations are solved through this module.
+and exact branch-and-bound. Both embedding formulations are solved through
+this module; the exhaustive-enumeration oracle, the LP-relaxation entry point
+and the LP-file dump that only the tests use live in ``tests/oracles.py``.
 
 Tolerances: eps_feas = 1e-6 on constraints, eps_int = 1e-6 on integrality,
 eps_obj = 1e-6 relative on objectives.
@@ -28,8 +29,6 @@ _TOL_PIV = 1e-9      # smallest acceptable pivot element
 _TOL_RATIO = 1e-10   # degenerate step threshold
 _BLAND_AFTER = 1000  # degenerate pivots before switching to Bland's rule
 _REFACTOR_EVERY = 300
-
-_ENUM_LIMIT = 22
 
 
 class MilpError(Exception):
@@ -377,12 +376,6 @@ def _solve_lp_arrays(c, A, relations, b, lb, ub) -> LpResult:
     return LpResult(status, x, obj)
 
 
-def solve_lp_relaxation(model: IlpModel) -> LpResult:
-    """Solve the LP relaxation (binaries relaxed to [0,1])."""
-    c, A, rel, b, lb, ub = model.arrays()
-    return _solve_lp_arrays(c, A, rel, b, lb, ub)
-
-
 # ---------------------------------------------------------------------------
 # Branch and bound
 # ---------------------------------------------------------------------------
@@ -512,103 +505,3 @@ def branch_and_bound(model: IlpModel, time_limit_ms: float | None = None) -> Ilp
     if incumbent_x is None:
         return finish("infeasible")
     return finish("optimal")
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracle
-# ---------------------------------------------------------------------------
-
-def enumerate_oracle(model: IlpModel) -> IlpSolution:
-    """Scan all binary assignments; exact reference optimum for tiny models."""
-    t0 = time.perf_counter()
-    k = len(model.variables)
-    if any(v.kind != BINARY for v in model.variables):
-        raise MilpError("enumerate_oracle handles pure binary models only")
-    if k > _ENUM_LIMIT:
-        raise MilpError(f"enumerate_oracle limited to {_ENUM_LIMIT} binaries, got {k}")
-    c, A, rel, b, lb, ub = model.arrays()
-    if k == 0:
-        feasible = True
-        for i, r in enumerate(rel):
-            lhs = 0.0
-            if r == "<=" and lhs > b[i] + 1e-9:
-                feasible = False
-            elif r == ">=" and lhs < b[i] - 1e-9:
-                feasible = False
-            elif r == "=" and abs(lhs - b[i]) > 1e-9:
-                feasible = False
-        if not feasible:
-            return IlpSolution("infeasible", None, None, 1, time.perf_counter() - t0)
-        return IlpSolution("optimal", np.zeros(0), 0.0, 1, time.perf_counter() - t0)
-
-    le = np.array([r == "<=" for r in rel])
-    ge = np.array([r == ">=" for r in rel])
-    eq = np.array([r == "=" for r in rel])
-
-    best_obj = np.inf
-    best_x = None
-    total = 1 << k
-    chunk = 1 << 16
-    shifts = np.arange(k, dtype=np.uint32)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        X = ((idx[:, None] >> shifts) & 1).astype(float)
-        ok = np.all((X >= lb - 1e-9) & (X <= ub + 1e-9), axis=1)
-        if A.shape[0]:
-            lhs = X @ A.T
-            if le.any():
-                ok &= np.all(lhs[:, le] <= b[le] + 1e-9, axis=1)
-            if ge.any():
-                ok &= np.all(lhs[:, ge] >= b[ge] - 1e-9, axis=1)
-            if eq.any():
-                ok &= np.all(np.abs(lhs[:, eq] - b[eq]) <= 1e-9, axis=1)
-        if not ok.any():
-            continue
-        objs = X[ok] @ c
-        pos = int(np.argmin(objs))
-        if objs[pos] < best_obj - 1e-15:
-            best_obj = float(objs[pos])
-            best_x = X[ok][pos].copy()
-    wall = time.perf_counter() - t0
-    if best_x is None:
-        return IlpSolution("infeasible", None, None, total, wall)
-    return IlpSolution("optimal", best_x, best_obj, total, wall)
-
-
-# ---------------------------------------------------------------------------
-# LP text export
-# ---------------------------------------------------------------------------
-
-def write_lp_format(model: IlpModel) -> str:
-    """CPLEX-LP style text dump for cross-checking with external solvers."""
-    def term(coef, name, first):
-        sign = "-" if coef < 0 else ("" if first else "+")
-        return f" {sign} {abs(coef):.12g} {name}".rstrip()
-
-    lines = ["\\ " + model.name, "Minimize", " obj:"]
-    parts = []
-    for i, v in enumerate(model.variables):
-        if v.obj:
-            parts.append(term(v.obj, v.name or f"x{i}", not parts))
-    lines[-1] += "".join(parts) if parts else " 0 x0" if model.variables else " 0"
-    lines.append("Subject To")
-    for i, row in enumerate(model.constraints):
-        parts = []
-        for j, coef in row.coeffs:
-            parts.append(term(coef, model.variables[j].name or f"x{j}", not parts))
-        op = {"<=": "<=", ">=": ">=", "=": "="}[row.relation]
-        lines.append(f" {row.name or 'c%d' % i}:{''.join(parts)} {op} {row.rhs:.12g}")
-    lines.append("Bounds")
-    for i, v in enumerate(model.variables):
-        if v.kind == CONTINUOUS:
-            lo = f"{v.lb:.12g}" if np.isfinite(v.lb) else "-inf"
-            hi = f"{v.ub:.12g}" if np.isfinite(v.ub) else "+inf"
-            lines.append(f" {lo} <= {v.name or 'x%d' % i} <= {hi}")
-        elif (v.lb, v.ub) != (0.0, 1.0):
-            lines.append(f" {v.lb:.12g} <= {v.name or 'x%d' % i} <= {v.ub:.12g}")
-    binaries = [v.name or f"x{i}" for i, v in enumerate(model.variables) if v.kind == BINARY]
-    if binaries:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(binaries))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

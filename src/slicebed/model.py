@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from .milp import MilpError
+
 
 class ScenarioError(Exception):
     """Malformed or invariant-violating scenario / request input."""
@@ -244,6 +246,22 @@ class Blocked:
                          # no_placement_nodes | no_candidate_path |
                          # infeasible | time_limit_no_incumbent
     detail: str = ""
+
+
+def blocked_by_solver(sol) -> Blocked | None:
+    """What an exact solve means for the request when it has no assignment
+    to decode: Blocked("infeasible") when the program has no solution,
+    Blocked("time_limit_no_incumbent") when the time limit struck before the
+    first one. None when ``sol`` holds an assignment. An unbounded program
+    can only come from a negative price or cost, so it raises MilpError."""
+    if sol.status == "unbounded":
+        raise MilpError("embedding model unbounded; prices and costs must be "
+                        "nonnegative")
+    if sol.status == "infeasible":
+        return Blocked("infeasible")
+    if sol.assignment is None:
+        return Blocked("time_limit_no_incumbent")
+    return None
 
 
 @dataclass
@@ -617,6 +635,9 @@ def request_from_dict(doc: dict, scenario: Scenario) -> SliceRequest:
         for v in deploy:
             _require(v in net.nodes and net.nodes[v].is_function_node,
                      f"vnf {fid}: deployment node {v} must be a function node")
+        if len(set(deploy)) < len(deploy):
+            twice = next(v for i, v in enumerate(deploy) if v in deploy[:i])
+            raise ScenarioError(f"vnf {fid}: deployment node {twice} is listed twice")
         catalog[fid] = SliceVnf(
             vnf=scenario.vnfs[fid],
             agg_bandwidth=_finite(entry["agg_bandwidth"], f"vnf {fid} agg_bandwidth"),

@@ -2,20 +2,29 @@
 
 Everything here recomputes answers from first principles (exact rational
 arithmetic, dynamic programming, exhaustive enumeration) and shares no logic
-with the package's solvers. The two exceptions are the reference layered
-graph build and the reference k-shortest search: the package's earlier,
-plainer implementations, kept to check the faster ones edge for edge and path
-for path.
+with the package's solvers. The exceptions are the reference layered graph
+build, the reference k-shortest search and the reference Node-Link build: the
+package's earlier, plainer implementations, kept to check the current ones
+edge for edge, path for path and row for row. The solver's own tests also
+find here two helpers that the runtime does not need: the LP relaxation
+solve and the CPLEX-LP text dump.
 """
 import heapq
 import itertools
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from slicebed.model import allowed_operators, scenario_from_dict, request_from_dict
+from slicebed.model import (Blocked, PhysicalNetwork, ResidualState, SliceRequest,
+                            TrustRelation, allowed_operators, request_from_dict,
+                            scenario_from_dict)
 from slicebed.expand import ExpandedNetwork, ExpEdge, UnreachableEndpoints
+from slicebed.milp import (BINARY, CONTINUOUS, IlpModel, IlpSolution, LpResult,
+                           MilpError, _solve_lp_arrays)
 from slicebed.paths import COST
+from slicebed.pricing import PriceSnapshot
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +564,6 @@ def medium_instance(seed, services=(1, 1)):
 
 def random_ilp_model(rng, max_binaries=8, max_rows=5):
     """Random small pure-binary model (for oracle equivalence testing)."""
-    from slicebed.milp import BINARY, IlpModel
-
     n = rng.randint(1, max_binaries)
     model = IlpModel()
     for j in range(n):
@@ -568,3 +575,297 @@ def random_ilp_model(rng, max_binaries=8, max_rows=5):
         rel = rng.choice(["<=", ">=", "="])
         model.add_constraint(coeffs, rel, rng.randint(-3, 6), name=f"r{i}")
     return model
+
+
+# ---------------------------------------------------------------------------
+# Solver helpers that only the tests use
+# ---------------------------------------------------------------------------
+# Exhaustive enumeration is the reference optimum for tiny models; the LP
+# relaxation and the CPLEX-LP text dump serve the solver's own tests.
+
+_ENUM_LIMIT = 22
+
+
+def solve_lp_relaxation(model: IlpModel) -> LpResult:
+    """Solve the LP relaxation (binaries relaxed to [0,1])."""
+    c, A, rel, b, lb, ub = model.arrays()
+    return _solve_lp_arrays(c, A, rel, b, lb, ub)
+
+
+def enumerate_oracle(model: IlpModel) -> IlpSolution:
+    """Scan all binary assignments; exact reference optimum for tiny models."""
+    t0 = time.perf_counter()
+    k = len(model.variables)
+    if any(v.kind != BINARY for v in model.variables):
+        raise MilpError("enumerate_oracle handles pure binary models only")
+    if k > _ENUM_LIMIT:
+        raise MilpError(f"enumerate_oracle limited to {_ENUM_LIMIT} binaries, got {k}")
+    c, A, rel, b, lb, ub = model.arrays()
+    if k == 0:
+        feasible = True
+        for i, r in enumerate(rel):
+            lhs = 0.0
+            if r == "<=" and lhs > b[i] + 1e-9:
+                feasible = False
+            elif r == ">=" and lhs < b[i] - 1e-9:
+                feasible = False
+            elif r == "=" and abs(lhs - b[i]) > 1e-9:
+                feasible = False
+        if not feasible:
+            return IlpSolution("infeasible", None, None, 1, time.perf_counter() - t0)
+        return IlpSolution("optimal", np.zeros(0), 0.0, 1, time.perf_counter() - t0)
+
+    le = np.array([r == "<=" for r in rel])
+    ge = np.array([r == ">=" for r in rel])
+    eq = np.array([r == "=" for r in rel])
+
+    best_obj = np.inf
+    best_x = None
+    total = 1 << k
+    chunk = 1 << 16
+    shifts = np.arange(k, dtype=np.uint32)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        X = ((idx[:, None] >> shifts) & 1).astype(float)
+        ok = np.all((X >= lb - 1e-9) & (X <= ub + 1e-9), axis=1)
+        if A.shape[0]:
+            lhs = X @ A.T
+            if le.any():
+                ok &= np.all(lhs[:, le] <= b[le] + 1e-9, axis=1)
+            if ge.any():
+                ok &= np.all(lhs[:, ge] >= b[ge] - 1e-9, axis=1)
+            if eq.any():
+                ok &= np.all(np.abs(lhs[:, eq] - b[eq]) <= 1e-9, axis=1)
+        if not ok.any():
+            continue
+        objs = X[ok] @ c
+        pos = int(np.argmin(objs))
+        if objs[pos] < best_obj - 1e-15:
+            best_obj = float(objs[pos])
+            best_x = X[ok][pos].copy()
+    wall = time.perf_counter() - t0
+    if best_x is None:
+        return IlpSolution("infeasible", None, None, total, wall)
+    return IlpSolution("optimal", best_x, best_obj, total, wall)
+
+
+def write_lp_format(model: IlpModel) -> str:
+    """CPLEX-LP style text dump for cross-checking with external solvers."""
+    def term(coef, name, first):
+        sign = "-" if coef < 0 else ("" if first else "+")
+        return f" {sign} {abs(coef):.12g} {name}".rstrip()
+
+    lines = ["\\ " + model.name, "Minimize", " obj:"]
+    parts = []
+    for i, v in enumerate(model.variables):
+        if v.obj:
+            parts.append(term(v.obj, v.name or f"x{i}", not parts))
+    lines[-1] += "".join(parts) if parts else " 0 x0" if model.variables else " 0"
+    lines.append("Subject To")
+    for i, row in enumerate(model.constraints):
+        parts = []
+        for j, coef in row.coeffs:
+            parts.append(term(coef, model.variables[j].name or f"x{j}", not parts))
+        op = {"<=": "<=", ">=": ">=", "=": "="}[row.relation]
+        lines.append(f" {row.name or 'c%d' % i}:{''.join(parts)} {op} {row.rhs:.12g}")
+    lines.append("Bounds")
+    for i, v in enumerate(model.variables):
+        if v.kind == CONTINUOUS:
+            lo = f"{v.lb:.12g}" if np.isfinite(v.lb) else "-inf"
+            hi = f"{v.ub:.12g}" if np.isfinite(v.ub) else "+inf"
+            lines.append(f" {lo} <= {v.name or 'x%d' % i} <= {hi}")
+        elif (v.lb, v.ub) != (0.0, 1.0):
+            lines.append(f" {v.lb:.12g} <= {v.name or 'x%d' % i} <= {v.ub:.12g}")
+    binaries = [v.name or f"x{i}" for i, v in enumerate(model.variables) if v.kind == BINARY]
+    if binaries:
+        lines.append("Binaries")
+        lines.append(" " + " ".join(binaries))
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference Node-Link build: its own trust filter and per-hop layering
+# ---------------------------------------------------------------------------
+# The package's build before it read the model off the layered graph. It
+# filters trust, lists the allowed links and lays out the hops itself; the
+# package's model must have the identical variables and constraints, in the
+# identical order.
+
+_EPS = 1e-9
+
+
+@dataclass
+class ReferenceNlMeta:
+    """Decode metadata: variable ids by role."""
+    allowed_nodes: frozenset[int]
+    shared: bool
+    # default mode: (service_id, position) -> {node: var};
+    # shared mode:  vnf_id -> {node: var}
+    x_groups: dict = field(default_factory=dict)
+    # (service_id, hop, link_id) -> var
+    y_vars: dict = field(default_factory=dict)
+
+
+def _reference_placement_key(svc_id: int, pos: int, fid: int, shared: bool):
+    return fid if shared else (svc_id, pos)
+
+
+def reference_build_nl(net: PhysicalNetwork, trust: TrustRelation,
+                       state: ResidualState, slc: SliceRequest,
+                       prices: PriceSnapshot, shared_vnf_per_slice: bool = False):
+    """Build the Node-Link model for one request.
+
+    Returns (IlpModel, ReferenceNlMeta), or Blocked when trust filtering
+    leaves no admissible placement or endpoint before any solving is needed.
+    Raises UntrustableRequest if the trusted operator set is empty.
+    """
+    allowed_ops = allowed_operators(slc, trust)
+    allowed_nodes = frozenset(v for v, n in net.nodes.items()
+                              if n.operator_id in allowed_ops)
+    for svc in slc.services:
+        if svc.source not in allowed_nodes or svc.sink not in allowed_nodes:
+            return Blocked("unreachable_endpoints",
+                           f"service {svc.id}: endpoint operator not trusted")
+
+    model = IlpModel()
+    meta = ReferenceNlMeta(allowed_nodes=allowed_nodes, shared=shared_vnf_per_slice)
+
+    # --- placement variables (C1 groups) ------------------------------------
+    def placement_sites(fid):
+        slot = slc.vnf_catalog[fid]
+        trusted = [v for v in sorted(slot.deploy_nodes) if v in allowed_nodes]
+        if not trusted:
+            return None, None
+        demand = slot.vnf.demand
+        fitting = [v for v in trusted
+                   if all(amount <= state.node_residual(v, r) + _EPS
+                          for r, amount in enumerate(demand) if amount)]
+        return trusted, fitting
+
+    seen_groups = set()
+    for svc in slc.services:
+        for pos, fid in enumerate(svc.vnf_sequence):
+            key = _reference_placement_key(svc.id, pos, fid, shared_vnf_per_slice)
+            if key in seen_groups:
+                continue
+            seen_groups.add(key)
+            trusted, fitting = placement_sites(fid)
+            if trusted is None:
+                return Blocked("no_placement_nodes",
+                               f"vnf {fid}: no trusted deployment node")
+            if not fitting:
+                return Blocked("infeasible",
+                               f"vnf {fid}: no deployment node with residual capacity")
+            group = {}
+            demand = slc.vnf_catalog[fid].vnf.demand
+            for v in fitting:
+                cost = prices.placement_cost(net, v, demand)
+                group[v] = model.add_variable(f"x_{key}_{v}", BINARY, obj=cost)
+            meta.x_groups[key] = group
+            model.add_constraint({var: 1.0 for var in group.values()}, "=", 1.0,
+                                 name=f"C1_{key}")
+
+    # --- routing variables --------------------------------------------------
+    allowed_links = [eid for eid in sorted(net.links)
+                     if net.links[eid].src in allowed_nodes
+                     and net.links[eid].dst in allowed_nodes]
+    for svc in slc.services:
+        hops = len(svc.vnf_sequence) + 1
+        for h in range(hops):
+            for eid in allowed_links:
+                if svc.bandwidth > state.link_residual(eid) + _EPS:
+                    continue        # this service can never fit on the link
+                cost = prices.link[eid] * svc.bandwidth
+                meta.y_vars[(svc.id, h, eid)] = model.add_variable(
+                    f"y_{svc.id}_{h}_{eid}", BINARY, obj=cost)
+
+    # --- C2: flow conservation per (service, hop, node) ---------------------
+    out_by_node = {v: [] for v in allowed_nodes}
+    in_by_node = {v: [] for v in allowed_nodes}
+    for eid in allowed_links:
+        link = net.links[eid]
+        out_by_node[link.src].append(eid)
+        in_by_node[link.dst].append(eid)
+
+    for svc in slc.services:
+        m = len(svc.vnf_sequence)
+        for h in range(m + 1):
+            for v in sorted(allowed_nodes):
+                coeffs: dict[int, float] = {}
+                for eid in out_by_node[v]:
+                    var = meta.y_vars.get((svc.id, h, eid))
+                    if var is not None:
+                        coeffs[var] = coeffs.get(var, 0.0) + 1.0
+                for eid in in_by_node[v]:
+                    var = meta.y_vars.get((svc.id, h, eid))
+                    if var is not None:
+                        coeffs[var] = coeffs.get(var, 0.0) - 1.0
+                rhs = 0.0
+                if h == 0:
+                    if v == svc.source:
+                        rhs += 1.0
+                else:
+                    fid = svc.vnf_sequence[h - 1]
+                    key = _reference_placement_key(svc.id, h - 1, fid, shared_vnf_per_slice)
+                    var = meta.x_groups[key].get(v)
+                    if var is not None:
+                        coeffs[var] = coeffs.get(var, 0.0) - 1.0
+                if h == m:
+                    if v == svc.sink:
+                        rhs -= 1.0
+                else:
+                    fid = svc.vnf_sequence[h]
+                    key = _reference_placement_key(svc.id, h, fid, shared_vnf_per_slice)
+                    var = meta.x_groups[key].get(v)
+                    if var is not None:
+                        coeffs[var] = coeffs.get(var, 0.0) + 1.0
+                coeffs = {k: c for k, c in coeffs.items() if c != 0.0}
+                if coeffs or rhs != 0.0:
+                    model.add_constraint(coeffs, "=", rhs,
+                                         name=f"C2_{svc.id}_{h}_{v}")
+
+    # --- C3: link capacity --------------------------------------------------
+    for eid in allowed_links:
+        coeffs = {}
+        for svc in slc.services:
+            for h in range(len(svc.vnf_sequence) + 1):
+                var = meta.y_vars.get((svc.id, h, eid))
+                if var is not None:
+                    coeffs[var] = svc.bandwidth
+        if coeffs:
+            model.add_constraint(coeffs, "<=", max(0.0, state.link_residual(eid)),
+                                 name=f"C3_{eid}")
+
+    # --- C4: node resources -------------------------------------------------
+    usage: dict[tuple[int, int], dict[int, float]] = {}
+    for key, group in meta.x_groups.items():
+        # key is the vnf id directly (shared) or (service_id, position)
+        if shared_vnf_per_slice:
+            demand = slc.vnf_catalog[key].vnf.demand
+        else:
+            svc = next(s for s in slc.services if s.id == key[0])
+            demand = slc.vnf_catalog[svc.vnf_sequence[key[1]]].vnf.demand
+        for v, var in group.items():
+            for r, amount in enumerate(demand):
+                if amount:
+                    row = usage.setdefault((v, r), {})
+                    row[var] = row.get(var, 0.0) + amount
+    for (v, r) in sorted(usage):
+        model.add_constraint(usage[(v, r)], "<=",
+                             max(0.0, state.node_residual(v, r)),
+                             name=f"C4_{v}_{r}")
+
+    # --- C5: latency budget -------------------------------------------------
+    for svc in slc.services:
+        fixed = sum(slc.vnf_catalog[f].vnf.proc_delay for f in svc.vnf_sequence)
+        coeffs = {}
+        for h in range(len(svc.vnf_sequence) + 1):
+            for eid in allowed_links:
+                var = meta.y_vars.get((svc.id, h, eid))
+                if var is not None:
+                    coeffs[var] = net.links[eid].prop_delay
+        model.add_constraint(coeffs, "<=", svc.max_latency - fixed,
+                             name=f"C5_{svc.id}")
+
+    return model, meta

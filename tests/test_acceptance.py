@@ -24,7 +24,7 @@ import pytest
 from slicebed.embed_nl import solve_nl
 from slicebed.embed_pl import solve_pl
 from slicebed.expand import UnreachableEndpoints, build_expanded
-from slicebed.milp import branch_and_bound, enumerate_oracle
+from slicebed.milp import branch_and_bound
 from slicebed.model import (
     Blocked,
     Embedding,
@@ -50,6 +50,7 @@ from slicebed.sim import (
 from oracles import (
     brute_force_embedding,
     dfs_all_expanded_paths,
+    enumerate_oracle,
     medium_instance,
     medium_template,
     random_ilp_model,

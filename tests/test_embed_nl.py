@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from slicebed import embed_nl, sim
 from slicebed.embed_nl import build_nl, solve_nl, solve_nl_detailed
-from slicebed.milp import enumerate_oracle
+from slicebed.milp import IlpModel
 from slicebed.model import (
     Blocked,
     Embedding,
     ResidualState,
+    UntrustableRequest,
     check_embedding,
     load_request,
     load_scenario,
@@ -19,7 +21,13 @@ from slicebed.model import (
 )
 from slicebed.pricing import KLEINROCK, PriceSnapshot, PricingPolicy
 
-from oracles import brute_force_embedding, tiny_request, tiny_scenario
+from oracles import (
+    brute_force_embedding,
+    enumerate_oracle,
+    reference_build_nl,
+    tiny_request,
+    tiny_scenario,
+)
 
 
 def _snap(scn, state=None, policy=None):
@@ -331,3 +339,171 @@ def test_detailed_returns_solution_stats():
     assert isinstance(out, Embedding) and out.optimal
     assert sol.status == "optimal" and sol.node_count >= 1
     assert out.total_cost == pytest.approx(12.6)
+
+
+def _random_nl_instance(rng):
+    """Random scenario, request, loaded ledger and prices for one model build.
+
+    Parallel links, one to three operators with random trust, one to three
+    services whose chains repeat two VNFs (so one VNF can sit at consecutive
+    positions), deployment sets that may miss every trusted node, node loads
+    that may leave no node room, and static or congestion prices."""
+    n = rng.randint(3, 6)
+    ops = rng.randint(1, 3)
+    owner = [rng.randint(1, ops) for _ in range(n)]
+
+    def link(a, b):
+        return {"endpoints": [a, b], "capacity": 8.0,
+                "directed": rng.random() < 0.3,
+                "prop_delay": round(rng.uniform(0.1, 2.0), 2),
+                "unit_price": rng.choice([0.1, 0.2, 0.3, 1.0, 1.7])}
+
+    def deploy_nodes():
+        op = rng.randint(1, ops)      # often all in one operator
+        pool = [v for v in range(n) if owner[v] == op] or list(range(n))
+        return rng.sample(pool, min(len(pool), rng.randint(1, 2)))
+
+    links = [link(i, (i + 1) % n) for i in range(n)]
+    for _ in range(rng.randint(1, 4)):
+        links.append(link(*rng.sample(range(n), 2)))
+    for _ in range(rng.randint(1, 2)):
+        links.append(link(*rng.choice(links)["endpoints"]))     # parallel link
+    scn = scenario_from_dict({
+        "resources": [{"id": 0, "name": "cpu"}, {"id": 1, "name": "mem"}],
+        "operators": [{"id": i} for i in range(1, ops + 1)],
+        "nodes": [{"id": i, "operator_id": owner[i],
+                   "is_function_node": True, "capacity": [9.0, 9.0],
+                   "unit_price": [round(rng.uniform(0.1, 2.0), 2), 0.3]}
+                  for i in range(n)],
+        "links": links,
+        "trust": {str(i): sorted({i} | {j for j in range(1, ops + 1)
+                                        if rng.random() < 0.5})
+                  for i in range(1, ops + 1)},
+        "vnfs": [{"id": 0, "name": "f0", "proc_delay": 0.3, "demand": [1.0, 0.0]},
+                 {"id": 1, "name": "f1", "proc_delay": 0.1, "demand": [2.0, 1.0]}],
+    })
+    services = []
+    for sid in range(rng.randint(1, 3)):
+        src, dst = rng.sample(range(n), 2)
+        services.append({"id": sid, "source": src, "sink": dst,
+                         "vnf_sequence": [rng.choice([0, 1])
+                                          for _ in range(rng.randint(0, 3))],
+                         "bandwidth": float(rng.randint(1, 3)),
+                         "max_latency": rng.choice([4.0, 50.0])})
+    fids = sorted({f for s in services for f in s["vnf_sequence"]})
+    req = request_from_dict({
+        "id": "r", "origin_operator": rng.randint(1, ops), "services": services,
+        "deny_operators": [op for op in range(2, ops + 1) if rng.random() < 0.1],
+        "vnf_catalog": [{"vnf_id": f, "agg_bandwidth": sum(
+                             s["bandwidth"] for s in services if f in s["vnf_sequence"]),
+                         "deploy_nodes": deploy_nodes()}
+                        for f in fids],
+    }, scn)
+    state = ResidualState(scn.net)
+    for eid, l in scn.net.links.items():
+        state.used_bw[eid] = rng.choice(
+            [0.0, 0.0, 1.0, 3.0, 5.5, 6.0, 6.0 + 1e-10, 7.5]) * l.capacity / 8.0
+    # a residual may equal a demand or a bandwidth, or fall short of it by
+    # less than the fit tolerance
+    for v in scn.net.nodes:
+        state.used_node[(v, 0)] = rng.choice([0.0, 0.0, 3.0, 7.0 + 1e-10, 8.0, 8.5, 9.0])
+    policy = PricingPolicy(rng.choice(["static", KLEINROCK]))
+    return scn, req, state, policy, rng.random() < 0.5
+
+
+def _assert_same_build(scn, req, state, snap, shared):
+    """build_nl and the reference build give the same outcome, and a built
+    model has identical variables and constraints in identical order."""
+    try:
+        ref = reference_build_nl(scn.net, scn.trust, state, req, snap, shared)
+    except UntrustableRequest:
+        with pytest.raises(UntrustableRequest):
+            build_nl(scn.net, scn.trust, state, req, snap, shared)
+        return None
+    got = build_nl(scn.net, scn.trust, state, req, snap, shared)
+    if isinstance(ref, Blocked):
+        assert got == ref
+        return ref
+    (model, meta), (ref_model, ref_meta) = got, ref
+    # repr also tells 1 from 1.0 and 0.0 from -0.0
+    assert repr(model.variables) == repr(ref_model.variables)
+    assert repr(model.constraints) == repr(ref_model.constraints)
+    assert list(meta.x_groups.items()) == list(ref_meta.x_groups.items())
+    assert list(meta.y_vars.items()) == list(ref_meta.y_vars.items())
+    assert meta.shared == ref_meta.shared == shared
+    return got
+
+
+def test_model_matches_reference_build_row_for_row():
+    """The model read off the layered graph is the one the earlier build,
+    with its own trust filter and hop layering, made: the same variables
+    (names, bounds, objective), the same constraints in the same order, the
+    same decode metadata, and the same Blocked reason and detail."""
+    scn = load_scenario("scenarios/demo_3op.json")
+    req = load_request("scenarios/demo_request.json", scn)
+    state = ResidualState(scn.net)
+    for shared in (False, True):
+        assert not isinstance(_assert_same_build(scn, req, state, _snap(scn), shared),
+                              Blocked)
+
+    rng = random.Random(25)
+    seen = dict.fromkeys(["multi_service", "shared_consecutive", "parallel_links",
+                          "loaded", "kleinrock", "nl_accepts",
+                          "unreachable_endpoints", "no_placement_nodes",
+                          "infeasible"], 0)
+    for _ in range(600):
+        scn, req, state, policy, shared = _random_nl_instance(rng)
+        snap = PriceSnapshot(policy, scn.net, state)
+        got = _assert_same_build(scn, req, state, snap, shared)
+        if isinstance(got, Blocked):
+            seen[got.reason] += 1
+            continue
+        if got is None:
+            continue
+        model, meta = got
+        seen["multi_service"] += len(req.services) > 1
+        seen["shared_consecutive"] += shared and any(
+            a == b for svc in req.services
+            for a, b in zip(svc.vnf_sequence, svc.vnf_sequence[1:]))
+        heads = [(sid, h, scn.net.links[eid].src, scn.net.links[eid].dst)
+                 for sid, h, eid in meta.y_vars]
+        seen["parallel_links"] += len(set(heads)) < len(heads)
+        seen["loaded"] += any(
+            svc.bandwidth > state.link_residual(eid) > 0
+            for svc in req.services for eid in scn.net.links)
+        seen["kleinrock"] += policy.mode == KLEINROCK
+        # accept the request and build it again on the loaded ledger
+        out = solve_nl(scn.net, scn.trust, state, req, snap,
+                       shared_vnf_per_slice=shared)
+        if isinstance(out, Embedding):
+            state.reserve(req, out, shared_vnf_per_slice=shared)
+            _assert_same_build(scn, req, state, PriceSnapshot(policy, scn.net, state),
+                               shared)
+            seen["nl_accepts"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_solve_nl_calls_the_seams_through_the_module(monkeypatch):
+    """A per-layer profiler times the nl engine by replacing ``build_nl``,
+    ``branch_and_bound`` and ``decode_nl`` on ``embed_nl`` and
+    ``solve_nl_detailed`` on ``sim``, and reads the model's rows and columns
+    from build_nl's result. A simulated nl run must call all four through
+    those names, and a built model must come back as (IlpModel, meta)."""
+    calls = {(embed_nl, "build_nl"): [], (embed_nl, "branch_and_bound"): [],
+             (embed_nl, "decode_nl"): [], (sim, "solve_nl_detailed"): []}
+    for (owner, name), seen in calls.items():
+        def counting(*args, _seen=seen, _original=getattr(owner, name), **kwargs):
+            result = _original(*args, **kwargs)
+            _seen.append(result)
+            return result
+        monkeypatch.setattr(owner, name, counting)
+    scn = load_scenario("scenarios/demo_3op.json")
+    metrics = sim.run(scn, sim.Workload(rate=2.0, holding=1.0, horizon=4.0, seed=3),
+                      engine=sim.NL)
+    assert all(calls.values()), {name: len(c) for (_, name), c in calls.items()}
+    assert len(calls[(sim, "solve_nl_detailed")]) == metrics.offered_total()
+    for built in calls[(embed_nl, "build_nl")]:
+        if not isinstance(built, Blocked):
+            model, _ = built
+            assert isinstance(model, IlpModel) and model.constraints and model.variables
+

@@ -7,7 +7,7 @@ import pytest
 
 from slicebed.embed_nl import solve_nl
 from slicebed.embed_pl import build_pl, forced_optimum, solve_pl, solve_pl_detailed
-from slicebed.milp import EPS_OBJ, branch_and_bound, enumerate_oracle
+from slicebed.milp import EPS_OBJ, branch_and_bound
 from slicebed.model import (
     Blocked,
     Embedding,
@@ -21,7 +21,7 @@ from slicebed.model import (
 from slicebed.paths import CandidatePath, generate_candidates
 from slicebed.pricing import PriceSnapshot, PricingPolicy
 
-from oracles import brute_force_embedding, tiny_request, tiny_scenario
+from oracles import brute_force_embedding, enumerate_oracle, tiny_request, tiny_scenario
 
 BIG_K = 5000        # larger than any tiny instance's path count
 

@@ -11,12 +11,16 @@ from slicebed.milp import (
     IlpModel,
     MilpError,
     branch_and_bound,
+)
+
+from oracles import (
     enumerate_oracle,
+    exact_lp_oracle,
+    knapsack_dp,
+    random_ilp_model,
     solve_lp_relaxation,
     write_lp_format,
 )
-
-from oracles import exact_lp_oracle, knapsack_dp, random_ilp_model
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,19 @@ def test_request_validation(demo):
         request_from_dict(doc, demo)
 
 
+def test_request_rejects_repeated_deploy_node(demo):
+    """A repeated deploy node would give the layered graph two processing
+    edges for one placement: identical `pl` candidates, and two graph edges
+    on one `nl` placement column."""
+    doc = json.load(open(DEMO_REQ))
+    node = doc["vnf_catalog"][0]["deploy_nodes"][0]
+    doc["vnf_catalog"][0]["deploy_nodes"].append(node)
+    fid = doc["vnf_catalog"][0]["vnf_id"]
+    with pytest.raises(ScenarioError, match=f"vnf {fid}: deployment node {node} "
+                                            "is listed twice"):
+        request_from_dict(doc, demo)
+
+
 def test_request_round_trip(demo, demo_request):
     doc = request_to_dict(demo_request)
     again = request_from_dict(doc, demo)
