@@ -14,7 +14,7 @@ from .model import (Blocked, Embedding, Footprint, LedgerError, PhysicalNetwork,
                     request_from_dict, scenario_from_dict)
 from .pricing import PricingPolicy, PriceSnapshot, congestion_multiplier
 from .expand import ExpandedNetwork, UnreachableEndpoints, build_expanded, map_back
-from .paths import CandidatePath, generate_candidates, k_shortest_paths, shortest_path
+from .paths import CandidatePath, generate_candidates, k_shortest_paths
 from .milp import IlpModel, IlpSolution, MilpError, branch_and_bound
 from .embed_nl import build_nl, solve_nl
 from .embed_pl import build_pl, solve_pl
@@ -33,6 +33,6 @@ __all__ = [
     "build_expanded", "build_nl", "build_pl", "check_embedding", "compare",
     "congestion_multiplier", "embedding_footprint", "generate_candidates",
     "generate_scenario", "k_shortest_paths", "load_request", "load_scenario",
-    "map_back", "request_from_dict", "run", "scenario_from_dict",
-    "shortest_path", "solve_nl", "solve_pl",
+    "map_back", "request_from_dict", "run", "scenario_from_dict", "solve_nl",
+    "solve_pl",
 ]

@@ -14,13 +14,9 @@ destination, cost, latency, kind and ref; per node, an adjacency tuple holds
 exactly as comparing their node sequences, then their (kind, ref) key
 sequences, would. The order is read off ``PhysicalNetwork.trusted_substrate``,
 which is computed once per allowed-operator set, so building a service's graph
-sorts nothing. ``ExpEdge`` objects exist only in the derived ``edges`` and
-``adjacency`` views, for the DOT dump, the CLI and tests.
+sorts nothing.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 from .model import PhysicalNetwork, ServiceChain, SliceRequest
 from .pricing import PriceSnapshot
@@ -31,21 +27,6 @@ VNF = "vnf"
 
 class UnreachableEndpoints(Exception):
     """Source or sink of the service was filtered out by trust."""
-
-
-@dataclass(frozen=True)
-class ExpEdge:
-    """Edge of the expanded network, as the derived view shows it.
-
-    kind is "link" (intra-layer copy of physical link ``ref``) or "vnf"
-    (processing edge placing chain position ``ref`` at the node).
-    """
-    src: tuple[int, int]
-    dst: tuple[int, int]
-    cost: float
-    latency: float
-    kind: str
-    ref: int
 
 
 class ExpandedNetwork:
@@ -78,31 +59,6 @@ class ExpandedNetwork:
         """(layer, node id) of node number ``i``."""
         layer, at = divmod(i, len(self.substrate_nodes))
         return layer, self.substrate_nodes[at]
-
-    @property
-    def source(self) -> tuple[int, int]:
-        return self.node(self.source_index)
-
-    @property
-    def target(self) -> tuple[int, int]:
-        return self.node(self.target_index)
-
-    @cached_property
-    def edges(self) -> tuple[ExpEdge, ...]:
-        """Every edge as an ExpEdge, indexed by edge number."""
-        return tuple(
-            ExpEdge(self.node(i), self.node(dst), self.edge_cost[e],
-                    self.edge_latency[e], self.edge_kind[e], self.edge_ref[e])
-            for i, out in enumerate(self.arcs) for dst, _, e in out)
-
-    @cached_property
-    def adjacency(self) -> dict:
-        """(layer, node id) -> tuple of its out-edges as ExpEdge, by (dst, kind, ref)."""
-        return {self.node(i): tuple(self.edges[e] for _, _, e in out)
-                for i, out in enumerate(self.arcs)}
-
-    def out_edges(self, node):
-        return self.adjacency.get(node, ())
 
 
 def build_expanded(net: PhysicalNetwork, service: ServiceChain, slc: SliceRequest,
@@ -198,17 +154,16 @@ def map_back(exp: ExpandedNetwork, path):
 
 def to_dot(exp: ExpandedNetwork) -> str:
     """DOT text dump of the expanded graph for debugging."""
+    names = [f"l{layer}_n{vid}" for layer, vid in map(exp.node, range(exp.num_nodes))]
     lines = ["digraph expanded {", "  rankdir=LR;"]
-    for (layer, vid) in sorted(exp.adjacency):
-        name = f"l{layer}_n{vid}"
-        shape = "doublecircle" if (layer, vid) in (exp.source, exp.target) else "circle"
+    for i, name in enumerate(names):
+        layer, vid = exp.node(i)
+        shape = "doublecircle" if i in (exp.source_index, exp.target_index) else "circle"
         lines.append(f'  {name} [label="{vid}@{layer}", shape={shape}];')
-    for node in sorted(exp.adjacency):
-        for e in exp.adjacency[node]:
-            s = f"l{e.src[0]}_n{e.src[1]}"
-            t = f"l{e.dst[0]}_n{e.dst[1]}"
-            style = "dashed" if e.kind == "vnf" else "solid"
-            lines.append(
-                f'  {s} -> {t} [label="c={e.cost:g} t={e.latency:g}", style={style}];')
+    for i, out in enumerate(exp.arcs):
+        for dst, cost, e in out:
+            style = "dashed" if exp.edge_kind[e] == VNF else "solid"
+            lines.append(f'  {names[i]} -> {names[dst]} '
+                         f'[label="c={cost:g} t={exp.edge_latency[e]:g}", style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

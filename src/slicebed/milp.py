@@ -1,9 +1,10 @@
 """Self-contained binary linear programming core.
 
 Model container, LP relaxation via a bounded-variable two-phase simplex,
-and exact branch-and-bound. Both embedding formulations are solved through
-this module; the exhaustive-enumeration oracle, the LP-relaxation entry point
-and the LP-file dump that only the tests use live in ``tests/oracles.py``.
+and exact branch-and-bound. Every column has finite bounds, so no program is
+unbounded. Both embedding formulations are solved through this module; the
+exhaustive-enumeration oracle, the LP-relaxation entry point and the LP-file
+dump that only the tests use live in ``tests/oracles.py``.
 
 Tolerances: eps_feas = 1e-6 on constraints, eps_int = 1e-6 on integrality,
 eps_obj = 1e-6 relative on objectives.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +54,8 @@ class Constraint:
 
 
 class IlpModel:
-    """Minimization program over binary and box-bounded continuous variables."""
+    """Minimization program over binary and continuous variables, each with
+    finite bounds."""
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -64,6 +66,8 @@ class IlpModel:
                      ub: float = 1.0, obj: float = 0.0) -> int:
         if kind not in (BINARY, CONTINUOUS):
             raise MilpError(f"unknown variable kind '{kind}'")
+        if not (np.isfinite(lb) and np.isfinite(ub)):
+            raise MilpError(f"variable {name}: bounds must be finite")
         if kind == BINARY:
             lb, ub = max(lb, 0.0), min(ub, 1.0)
         if not np.isfinite(obj):
@@ -112,7 +116,7 @@ class IlpModel:
 
 @dataclass
 class IlpSolution:
-    status: str                       # optimal | infeasible | unbounded | time_limit_best_incumbent
+    status: str                       # optimal | infeasible | time_limit_best_incumbent
     assignment: np.ndarray | None
     objective: float | None
     node_count: int = 0
@@ -121,7 +125,7 @@ class IlpSolution:
 
 @dataclass
 class LpResult:
-    status: str                       # optimal | infeasible | unbounded | failure
+    status: str                       # optimal | infeasible | failure
     x: np.ndarray | None
     objective: float | None
 
@@ -133,10 +137,11 @@ class LpResult:
 class _Simplex:
     """Dense revised simplex with implicit variable bounds.
 
-    Columns are structural variables, one slack per row, one artificial per
-    row. Phase 1 starts from an all-artificial basis; phase 2 fixes the
-    artificials to zero. Dantzig pricing with largest-pivot row selection,
-    switching permanently to Bland's rule after a run of degenerate pivots.
+    Columns are structural variables with finite bounds, one slack per row,
+    one artificial per row. Phase 1 starts from an all-artificial basis;
+    phase 2 fixes the artificials to zero. Dantzig pricing with largest-pivot
+    row selection, switching permanently to Bland's rule after a run of
+    degenerate pivots.
     """
 
     def __init__(self, c, A, relations, b, lb, ub):
@@ -156,16 +161,9 @@ class _Simplex:
         self.U = np.concatenate([ub, slack_ub, np.full(m, np.inf)])
         self.cost2 = np.concatenate([c, np.zeros(2 * m)])
 
-        # nonbasic start values: finite lower bound, else upper, else 0
-        v = np.zeros(n + m)
-        base = np.concatenate([lb, slack_lb])
-        alt = np.concatenate([ub, slack_ub])
-        finite_lo = np.isfinite(base)
-        v[finite_lo] = base[finite_lo]
-        only_hi = ~finite_lo & np.isfinite(alt)
-        v[only_hi] = alt[only_hi]
-
-        r = b - A @ v[:n] - v[n:n + m]
+        # nonbasic start: columns at their (finite) lower bound, slacks at
+        # zero, which is the upper bound of a ">=" row's slack
+        r = b - A @ lb
         sign = np.where(r >= 0, 1.0, -1.0)
 
         self.Afull = np.zeros((m, n + 2 * m))
@@ -173,9 +171,9 @@ class _Simplex:
         self.Afull[np.arange(m), n + np.arange(m)] = 1.0
         self.Afull[np.arange(m), n + m + np.arange(m)] = sign
 
-        self.value = np.concatenate([v, np.abs(r)])
-        self.at_upper = only_hi.copy()
-        self.at_upper = np.concatenate([self.at_upper, np.zeros(m, dtype=bool)])
+        self.value = np.concatenate([lb, np.zeros(m), np.abs(r)])
+        self.at_upper = np.concatenate([np.zeros(n, dtype=bool), np.isinf(slack_lb),
+                                        np.zeros(m, dtype=bool)])
         self.basis = np.arange(n + m, n + 2 * m)
         self.in_basis = np.zeros(n + 2 * m, dtype=bool)
         self.in_basis[self.basis] = True
@@ -207,13 +205,11 @@ class _Simplex:
 
             gap_ok = (self.U - self.L) > 0
             candidate = ~self.in_basis & ~self.banned & gap_ok
-            free = candidate & ~np.isfinite(self.L) & ~np.isfinite(self.U)
-            lo_side = candidate & ~self.at_upper & ~free
+            lo_side = candidate & ~self.at_upper
             hi_side = candidate & self.at_upper
             improving = np.zeros(len(d))
             improving[lo_side] = np.maximum(0.0, -d[lo_side])
             improving[hi_side] = np.maximum(0.0, d[hi_side])
-            improving[free] = np.abs(d[free])
             eligible = improving > _TOL_RC
             if not eligible.any():
                 return "optimal"
@@ -222,10 +218,7 @@ class _Simplex:
                 j = int(np.argmax(eligible))        # first eligible index
             else:
                 j = int(np.argmax(improving))
-            if free[j]:
-                direction = 1.0 if d[j] < 0 else -1.0
-            else:
-                direction = -1.0 if self.at_upper[j] else 1.0
+            direction = -1.0 if self.at_upper[j] else 1.0
 
             w = self.Binv @ self.Afull[:, j]
             move = -direction * w                    # change of basic values per unit step
@@ -259,7 +252,7 @@ class _Simplex:
             step = min(t_best, gap_j) if np.isfinite(gap_j) else t_best
 
             if not np.isfinite(step):
-                return "unbounded"
+                return "failure"        # no column or basic value bounds the step
 
             self.pivots += 1
             if step <= _TOL_RATIO:
@@ -341,11 +334,8 @@ class _Simplex:
             self.Binv -= np.outer(w, raw)
             self.Binv[pos, :] = raw
 
-        status = self._iterate(self.cost2, max_iter)
-        if status == "failure":
+        if self._iterate(self.cost2, max_iter) == "failure":
             return "failure", None, None
-        if status == "unbounded":
-            return "unbounded", None, None
 
         if not self._refactor():
             return "failure", None, None
@@ -355,20 +345,8 @@ class _Simplex:
 
 
 def _solve_lp_arrays(c, A, relations, b, lb, ub) -> LpResult:
-    m, n = A.shape
-    if m == 0:
-        x = np.zeros(n)
-        for j in range(n):
-            if c[j] > 0:
-                if not np.isfinite(lb[j]):
-                    return LpResult("unbounded", None, None)
-                x[j] = lb[j]
-            elif c[j] < 0:
-                if not np.isfinite(ub[j]):
-                    return LpResult("unbounded", None, None)
-                x[j] = ub[j]
-            else:
-                x[j] = lb[j] if np.isfinite(lb[j]) else (ub[j] if np.isfinite(ub[j]) else 0.0)
+    if A.shape[0] == 0:
+        x = np.where(c < 0, ub, lb)
         return LpResult("optimal", x, float(c @ x))
     if np.any(lb > ub):
         return LpResult("infeasible", None, None)
@@ -437,8 +415,6 @@ def branch_and_bound(model: IlpModel, time_limit_ms: float | None = None) -> Ilp
         raise MilpError("LP relaxation failed numerically at the root")
     if root.status == "infeasible":
         return finish("infeasible")
-    if root.status == "unbounded":
-        return finish("unbounded")
 
     heap: list = []
     seq = 0

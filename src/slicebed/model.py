@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-
-from .milp import MilpError
 
 
 class ScenarioError(Exception):
@@ -252,11 +250,7 @@ def blocked_by_solver(sol) -> Blocked | None:
     """What an exact solve means for the request when it has no assignment
     to decode: Blocked("infeasible") when the program has no solution,
     Blocked("time_limit_no_incumbent") when the time limit struck before the
-    first one. None when ``sol`` holds an assignment. An unbounded program
-    can only come from a negative price or cost, so it raises MilpError."""
-    if sol.status == "unbounded":
-        raise MilpError("embedding model unbounded; prices and costs must be "
-                        "nonnegative")
+    first one. None when ``sol`` holds an assignment."""
     if sol.status == "infeasible":
         return Blocked("infeasible")
     if sol.assignment is None:

@@ -1,11 +1,11 @@
 """Candidate path generation on the expanded network.
 
-Yen's k-shortest loopless search with Lawler's rule, run directly on the
-expanded network's integer adjacency, then latency pruning and a standalone
-residual-capacity prefilter. Paths are edge-number sequences; ``map_back``
-decodes them. Ties between equal-weight paths are broken lexicographically on
-the node sequence, then on the edge key sequence, so candidate sets are
-reproducible and nested as k grows.
+Yen's k-shortest loopless search by cost with Lawler's rule, run directly on
+the expanded network's integer adjacency, then latency pruning and a
+standalone residual-capacity prefilter. Paths are edge-number sequences;
+``map_back`` decodes them. Ties between equal-cost paths are broken
+lexicographically on the node sequence, then on the edge key sequence, so
+candidate sets are reproducible and nested as k grows.
 
 Spur searches that cannot reach the first k are cut short. One reverse
 Dijkstra gives h(v), the least weight from v to the target on the whole
@@ -28,8 +28,6 @@ from .model import (PhysicalNetwork, ResidualState, SliceRequest, TrustRelation,
 from .expand import VNF, ExpandedNetwork, UnreachableEndpoints, build_expanded, map_back
 from .pricing import PriceSnapshot
 
-COST = "cost"
-LATENCY = "latency"
 _INF = float("inf")
 _NEG_INF = -_INF
 _EPS = 1e-9
@@ -47,14 +45,6 @@ class CandidatePath:
     latency: float
     link_units: tuple[tuple[int, float], ...]          # (link id, bandwidth)
     node_units: tuple[tuple[int, int, float], ...]     # (node id, resource, amount)
-
-
-def _weighted(exp: ExpandedNetwork, weight: str):
-    """Per-edge weights and per-node (dst, weight, edge) tuples under ``weight``."""
-    if weight == COST:
-        return exp.edge_cost, exp.arcs
-    lat = exp.edge_latency
-    return lat, [tuple((dst, lat[e], e) for dst, _, e in out) for out in exp.arcs]
 
 
 def _distances_to(adjacency, target):
@@ -111,32 +101,21 @@ def _dijkstra(adjacency, start, target, best, banned_edges, h, limit):
     return None
 
 
-def shortest_path(exp: ExpandedNetwork, weight: str = COST):
-    """Minimum-weight source-to-target path as edge numbers, or None if
-    disconnected.
-
-    Among equal-weight paths, returns the one with the lexicographically
-    smallest node sequence.
-    """
-    found = k_shortest_paths(exp, 1, weight)
-    return found[0] if found else None
-
-
-def k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST):
-    """Up to k minimum-weight loopless paths in nondecreasing weight, each a
-    tuple of edge numbers.
+def k_shortest_paths(exp: ExpandedNetwork, k: int):
+    """Up to k least-cost loopless paths in nondecreasing cost, each a tuple
+    of edge numbers.
 
     Yen's deviation search with Lawler's rule: a path that deviated from
     its parent at index d spurs only from index d onward, since the spurs
     before d were taken when an earlier path with the same prefix was found
     and would only repeat paths already queued. Deterministic: candidate
-    ordering is (weight, node sequence, edge key sequence), where a path's
-    weight is the sum of its root's edge weights plus that of its spur's.
+    ordering is (cost, node sequence, edge key sequence), where a path's
+    cost is the sum of its root's edge costs plus that of its spur's.
     Spur searches are pruned by the bound the module docstring describes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    weights, adjacency = _weighted(exp, weight)
+    weights, adjacency = exp.edge_cost, exp.arcs
     size, target = len(adjacency), exp.target_index
     h = [0.0] * size        # replaced by the real bound once it can prune
     first = _dijkstra(adjacency, exp.source_index, target, [_INF] * size, (),
@@ -272,7 +251,7 @@ def generate_candidates(net: PhysicalNetwork, trust: TrustRelation,
             out[svc.id] = []
             continue
         kept = []
-        for path in k_shortest_paths(exp, k, COST):
+        for path in k_shortest_paths(exp, k):
             footprint = _admitted_footprint(exp, slc, path, state)
             if footprint is not None:
                 kept.append(candidate_from_path(exp, slc, path, len(kept),

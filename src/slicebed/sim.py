@@ -16,13 +16,14 @@ from __future__ import annotations
 import heapq
 import json
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (Blocked, Embedding, ResidualState, Scenario, ScenarioError,
-                    SliceRequest, request_from_dict, scenario_from_dict)
+                    ServiceChain, SliceRequest, SliceVnf, scenario_from_dict)
 from .pricing import PricingPolicy, PriceSnapshot
 from .embed_nl import solve_nl_detailed
 from .embed_pl import solve_pl_detailed
@@ -83,6 +84,14 @@ def parse_slice_types(scenario: Scenario) -> list[SliceTypeTemplate]:
                 raise ScenarioError(f"slice type {tpl.name}: unknown vnf {f}")
         if not tpl.vnf_pool and tpl.chain_length[1] > 0:
             raise ScenarioError(f"slice type {tpl.name}: empty vnf pool")
+        # sample_request builds requests without validating them, so every
+        # draw the template allows must be a valid request
+        if tpl.bandwidth[0] < 1:
+            raise ScenarioError(f"slice type {tpl.name}: bandwidth must be >= 1")
+        if not (all(math.isfinite(x) for x in tpl.max_latency)
+                and round(min(tpl.max_latency), 3) > 0):
+            raise ScenarioError(f"slice type {tpl.name}: max_latency must be finite "
+                                "and > 0 at 3 decimals")
         types.append(tpl)
     if not types:
         raise ScenarioError("scenario defines no slice types")
@@ -104,8 +113,8 @@ class Workload:
     def __post_init__(self):
         if self.rate < 0:
             raise ScenarioError("lambda >= 0")
-        if self.holding <= 0:
-            raise ScenarioError("holding > 0")
+        if not 0 < self.holding < math.inf:
+            raise ScenarioError("holding > 0 and finite")
         if self.horizon <= 0:
             raise ScenarioError("horizon > 0")
         if self.holding_dist not in ("exponential", "deterministic"):
@@ -315,6 +324,8 @@ def sample_request(rng: np.random.Generator, scenario: Scenario,
     None means the draw produced a structurally impossible request (no
     reachable sink candidate); the caller records it as blocked. The draw
     sequence is fixed so every config consumes the random stream identically.
+    The request is not validated again: ``parse_slice_types`` has checked that
+    every draw a template allows is a valid request.
     """
     net = scenario.net
     weights = np.array([t.weight for t in templates])
@@ -338,8 +349,8 @@ def sample_request(rng: np.random.Generator, scenario: Scenario,
     services, fids_used = [], set()
     for sid in range(n_services):
         m = int(rng.integers(tpl.chain_length[0], tpl.chain_length[1] + 1))
-        seq = [int(tpl.vnf_pool[int(rng.integers(0, len(tpl.vnf_pool)))])
-               for _ in range(m)] if m else []
+        seq = tuple(int(tpl.vnf_pool[int(rng.integers(0, len(tpl.vnf_pool)))])
+                    for _ in range(m))
         fids_used |= set(seq)
         bw = int(rng.integers(tpl.bandwidth[0], tpl.bandwidth[1] + 1))
         lat = float(rng.uniform(tpl.max_latency[0], tpl.max_latency[1]))
@@ -348,29 +359,19 @@ def sample_request(rng: np.random.Generator, scenario: Scenario,
         if not sinks:
             return tpl.name, None
         sink = int(sinks[int(rng.integers(0, len(sinks)))])
-        services.append({"id": sid, "source": source, "sink": sink,
-                         "vnf_sequence": seq, "bandwidth": float(bw),
-                         "max_latency": round(lat, 3)})
+        services.append(ServiceChain(sid, source, sink, seq, float(bw), round(lat, 3)))
 
-    catalog = []
+    catalog = {}
     for fid in sorted(fids_used):
         picked = [v for v in fn_nodes if float(rng.random()) < tpl.deploy_fraction]
         if not picked:
             picked = [fn_nodes[int(rng.integers(0, len(fn_nodes)))]]
-        agg = sum(s["bandwidth"] for s in services if fid in s["vnf_sequence"])
-        catalog.append({"vnf_id": fid, "agg_bandwidth": agg,
-                        "deploy_nodes": picked})
+        agg = sum(s.bandwidth for s in services if fid in s.vnf_sequence)
+        catalog[fid] = SliceVnf(scenario.vnfs[fid], agg, tuple(picked))
 
-    request = request_from_dict({
-        "id": slice_id,
-        "origin_operator": origin,
-        "allow_operators": allow,
-        "deny_operators": deny,
-        "services": services,
-        "vnf_catalog": catalog,
-        "arrival_time": arrival_time,
-        "holding_time": holding_time,
-    }, scenario)
+    request = SliceRequest(str(slice_id), origin, frozenset(allow), frozenset(deny),
+                           tuple(services), catalog, float(arrival_time),
+                           float(holding_time))
     return tpl.name, request
 
 

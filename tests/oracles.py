@@ -14,16 +14,16 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from slicebed.model import (Blocked, PhysicalNetwork, ResidualState, SliceRequest,
                             TrustRelation, allowed_operators, request_from_dict,
                             scenario_from_dict)
-from slicebed.expand import ExpandedNetwork, ExpEdge, UnreachableEndpoints
+from slicebed.expand import ExpandedNetwork, UnreachableEndpoints
 from slicebed.milp import (BINARY, CONTINUOUS, IlpModel, IlpSolution, LpResult,
                            MilpError, _solve_lp_arrays)
-from slicebed.paths import COST
 from slicebed.pricing import PriceSnapshot
 
 
@@ -149,8 +149,10 @@ def knapsack_dp(values, weights, capacity):
 # Exhaustive path enumeration
 # ---------------------------------------------------------------------------
 
-def dfs_all_expanded_paths(exp):
-    """Every loopless source->target path of an expanded network."""
+def dfs_all_expanded_paths(exp: ExpandedNetwork):
+    """Every loopless source->target path of an expanded network, each a
+    list of ExpEdge objects of ``edge_view(exp)``."""
+    exp = edge_view(exp)
     out = []
 
     def go(node, visited, edges):
@@ -171,8 +173,8 @@ def dfs_all_expanded_paths(exp):
 
 
 def edge_numbers(exp: ExpandedNetwork, path) -> tuple[int, ...]:
-    """The edge numbers of a path given as ExpEdge objects of ``exp``'s view."""
-    number = {edge: e for e, edge in enumerate(exp.edges)}
+    """The edge numbers of a path given as ExpEdge objects of ``edge_view(exp)``."""
+    number = {edge: e for e, edge in enumerate(edge_view(exp).edges)}
     return tuple(number[edge] for edge in path)
 
 
@@ -180,8 +182,24 @@ def edge_numbers(exp: ExpandedNetwork, path) -> tuple[int, ...]:
 # Reference layered graph: ExpEdge objects, adjacency sorted per node
 # ---------------------------------------------------------------------------
 # The package's build before it emitted the integer graph directly. It builds
-# one ExpEdge per edge and sorts every adjacency list; the package's graph
-# must show the identical edges in the identical order.
+# one ExpEdge per edge and sorts every adjacency list; the package's graph,
+# shown through ``edge_view``, must hold the identical edges in the identical
+# order.
+
+@dataclass(frozen=True)
+class ExpEdge:
+    """Edge of a layered graph as the reference build and ``edge_view`` show it.
+
+    kind is "link" (intra-layer copy of physical link ``ref``) or "vnf"
+    (processing edge placing chain position ``ref`` at the node).
+    """
+    src: tuple[int, int]
+    dst: tuple[int, int]
+    cost: float
+    latency: float
+    kind: str
+    ref: int
+
 
 class ReferenceExpandedNetwork:
     """Immutable layered graph with costs and latencies baked in at build time."""
@@ -198,6 +216,28 @@ class ReferenceExpandedNetwork:
 
     def out_edges(self, node):
         return self.adjacency.get(node, ())
+
+    @property
+    def edges(self) -> tuple[ExpEdge, ...]:
+        """Every edge, in the package's edge-number order: by source node,
+        then by (dst, kind, ref)."""
+        return tuple(e for node in sorted(self.adjacency) for e in self.adjacency[node])
+
+
+@lru_cache(maxsize=16)
+def edge_view(exp: ExpandedNetwork) -> ReferenceExpandedNetwork:
+    """The package's integer graph with (layer, node id) nodes and ExpEdge
+    edges, as the reference build shows a graph; ``edges[e]`` is edge ``e``."""
+    adjacency = {}
+    for i, out in enumerate(exp.arcs):
+        node = exp.node(i)
+        adjacency[node] = tuple(
+            ExpEdge(node, exp.node(dst), exp.edge_cost[e], exp.edge_latency[e],
+                    exp.edge_kind[e], exp.edge_ref[e])
+            for dst, _, e in out)
+    return ReferenceExpandedNetwork(exp.service, exp.num_layers,
+                                    exp.node(exp.source_index),
+                                    exp.node(exp.target_index), adjacency)
 
 
 def reference_build_expanded(net, service, slc, allowed, prices):
@@ -252,21 +292,17 @@ def reference_build_expanded(net, service, slc, allowed, prices):
 # graph. It spurs from every node of every found path, so it is slow but
 # plainly Yen; the package's search must return the identical ordered paths.
 
-def _edge_weight(edge: ExpEdge, weight: str) -> float:
-    return edge.cost if weight == COST else edge.latency
+def _reference_shortest_path(exp: ReferenceExpandedNetwork):
+    """Least-cost source-to-target path, or None if disconnected.
 
-
-def _reference_shortest_path(exp: ExpandedNetwork, weight: str = COST):
-    """Minimum-weight source-to-target path, or None if disconnected.
-
-    Among equal-weight paths, returns the one with the lexicographically
+    Among equal-cost paths, returns the one with the lexicographically
     smallest node sequence.
     """
     return _reference_dijkstra(exp, exp.source, banned_nodes=frozenset(),
-                               banned_edges=frozenset(), weight=weight)
+                               banned_edges=frozenset())
 
 
-def _reference_dijkstra(exp, start, banned_nodes, banned_edges, weight):
+def _reference_dijkstra(exp, start, banned_nodes, banned_edges):
     # Heap entries: (dist, node sequence, edge key sequence, edge sequence).
     # The key sequence keeps ties orderable when parallel edges join the
     # same node pair (ExpEdge itself has no ordering).
@@ -288,7 +324,7 @@ def _reference_dijkstra(exp, start, banned_nodes, banned_edges, weight):
                 continue
             if (e.src, e.dst, e.kind, e.ref) in banned_edges:
                 continue
-            heapq.heappush(heap, (dist + _edge_weight(e, weight),
+            heapq.heappush(heap, (dist + e.cost,
                                   nodes + (e.dst,), keys + ((e.kind, e.ref),),
                                   edges + (e,)))
     return None
@@ -301,15 +337,16 @@ def _path_nodes(exp, path):
     return tuple(nodes)
 
 
-def reference_k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST):
-    """Up to k minimum-weight loopless paths in nondecreasing weight.
+def reference_k_shortest_paths(exp: ReferenceExpandedNetwork, k: int):
+    """Up to k least-cost loopless paths in nondecreasing cost, on a graph
+    as the reference build or ``edge_view`` shows it.
 
     Yen's deviation search. Deterministic: candidate ordering is
-    (weight, node sequence).
+    (cost, node sequence).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    first = _reference_shortest_path(exp, weight)
+    first = _reference_shortest_path(exp)
     if first is None:
         return []
 
@@ -318,7 +355,7 @@ def reference_k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST)
 
     found = [first]
     found_keys = [keys_of(first)]
-    pool: list = []        # (weight, node seq, edge key seq, edge list)
+    pool: list = []        # (cost, node seq, edge key seq, edge list)
     seen = {found_keys[0]}
 
     while len(found) < k:
@@ -329,7 +366,7 @@ def reference_k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST)
             spur_node = prev_nodes[i]
             root = prev[:i]
             root_keys = prev_keys[:i]
-            root_weight = sum(_edge_weight(e, weight) for e in root)
+            root_cost = sum(e.cost for e in root)
 
             banned_edges = set()
             for p, pk in zip(found, found_keys):
@@ -339,7 +376,7 @@ def reference_k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST)
             banned_nodes = frozenset(prev_nodes[:i])
 
             spur = _reference_dijkstra(exp, spur_node, banned_nodes,
-                                       frozenset(banned_edges), weight)
+                                       frozenset(banned_edges))
             if spur is None:
                 continue
             total = list(root) + spur
@@ -347,7 +384,7 @@ def reference_k_shortest_paths(exp: ExpandedNetwork, k: int, weight: str = COST)
             if total_keys in seen:
                 continue
             seen.add(total_keys)
-            w = root_weight + sum(_edge_weight(e, weight) for e in spur)
+            w = root_cost + sum(e.cost for e in spur)
             heapq.heappush(pool, (w, _path_nodes(exp, total), total_keys, total))
         if not pool:
             break

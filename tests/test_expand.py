@@ -15,8 +15,8 @@ from slicebed.model import (
 )
 from slicebed.pricing import KLEINROCK, PriceSnapshot, PricingPolicy
 
-from oracles import (dfs_all_expanded_paths, edge_numbers, reference_build_expanded,
-                     tiny_request, tiny_scenario)
+from oracles import (dfs_all_expanded_paths, edge_numbers, edge_view,
+                     reference_build_expanded, tiny_request, tiny_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,8 @@ def test_empty_chain_is_identity_copy():
     assert exp.num_layers == 1
     assert exp.num_nodes == 3
     assert exp.num_edges == len(scn.net.links)
-    assert exp.source == (0, 0) and exp.target == (0, 2)
+    assert exp.node(exp.source_index) == (0, 0)
+    assert exp.node(exp.target_index) == (0, 2)
 
 
 def test_layer_counts_for_chain_of_two():
@@ -84,8 +85,7 @@ def test_layer_counts_for_chain_of_two():
     assert exp.num_nodes == 9
     # 4 directed link copies per layer x 3 layers, 3 vnf edges for f0, 1 for f1
     assert exp.num_edges == 12 + 3 + 1
-    vnf_edges = [e for n in exp.adjacency for e in exp.out_edges(n)
-                 if e.kind == "vnf"]
+    vnf_edges = [e for e in edge_view(exp).edges if e.kind == "vnf"]
     # processing edges keep the node and advance exactly one layer
     for e in vnf_edges:
         assert e.dst == (e.src[0] + 1, e.src[1])
@@ -96,18 +96,17 @@ def test_edge_costs_and_latencies(demo, demo_req):
     allowed = allowed_operators(demo_req, demo.trust)
     svc = demo_req.services[0]
     exp = build_expanded(demo.net, svc, demo_req, allowed, snap)
-    for node in exp.adjacency:
-        for e in exp.out_edges(node):
-            if e.kind == "link":
-                link = demo.net.links[e.ref]
-                assert e.cost == pytest.approx(snap.link[e.ref] * svc.bandwidth)
-                assert e.latency == link.prop_delay
-            else:
-                fid = svc.vnf_sequence[e.ref]
-                vnf = demo_req.vnf_catalog[fid]
-                assert e.cost == pytest.approx(
-                    snap.placement_cost(demo.net, e.src[1], vnf.vnf.demand))
-                assert e.latency == vnf.vnf.proc_delay
+    for e in edge_view(exp).edges:
+        if e.kind == "link":
+            link = demo.net.links[e.ref]
+            assert e.cost == pytest.approx(snap.link[e.ref] * svc.bandwidth)
+            assert e.latency == link.prop_delay
+        else:
+            fid = svc.vnf_sequence[e.ref]
+            vnf = demo_req.vnf_catalog[fid]
+            assert e.cost == pytest.approx(
+                snap.placement_cost(demo.net, e.src[1], vnf.vnf.demand))
+            assert e.latency == vnf.vnf.proc_delay
 
 
 def test_trust_filtering_is_structural(demo, demo_req):
@@ -119,10 +118,9 @@ def test_trust_filtering_is_structural(demo, demo_req):
     filtered = build_expanded(demo.net, svc, demo_req,
                               frozenset({1, 3}), snap)
     banned = {v for v, n in demo.net.nodes.items() if n.operator_id == 2}
-    assert all(node[1] not in banned for node in filtered.adjacency)
-    assert all(e.dst[1] not in banned
-               for node in filtered.adjacency
-               for e in filtered.out_edges(node))
+    view = edge_view(filtered)
+    assert all(node[1] not in banned for node in view.adjacency)
+    assert all(e.dst[1] not in banned for e in view.edges)
     assert filtered.num_nodes < full.num_nodes
 
 
@@ -140,7 +138,7 @@ def test_allowed_may_be_any_set_of_operators(demo, demo_req):
     frozen = build_expanded(demo.net, svc, demo_req, frozenset({1, 3}), snap)
     for allowed in ({1, 3}, [3, 1]):
         exp = build_expanded(demo.net, svc, demo_req, allowed, snap)
-        assert exp.adjacency == frozen.adjacency
+        assert edge_view(exp).adjacency == edge_view(frozen).adjacency
     assert demo.net.trusted_substrate({3, 1}) is \
         demo.net.trusted_substrate(frozenset({1, 3}))
 
@@ -254,13 +252,43 @@ def test_demo_expansion_size(demo, demo_req):
     assert exp.num_edges == 54
 
 
+def _view_dot(exp):
+    """DOT text of ``exp`` rendered from its ExpEdge view, node by node."""
+    view = edge_view(exp)
+    lines = ["digraph expanded {", "  rankdir=LR;"]
+    for layer, vid in sorted(view.adjacency):
+        shape = "doublecircle" if (layer, vid) in (view.source, view.target) else "circle"
+        lines.append(f'  l{layer}_n{vid} [label="{vid}@{layer}", shape={shape}];')
+    for node in sorted(view.adjacency):
+        for e in view.adjacency[node]:
+            style = "dashed" if e.kind == "vnf" else "solid"
+            lines.append(f'  l{e.src[0]}_n{e.src[1]} -> l{e.dst[0]}_n{e.dst[1]} '
+                         f'[label="c={e.cost:g} t={e.latency:g}", style={style}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def test_to_dot_mentions_every_edge(demo, demo_req):
-    allowed = allowed_operators(demo_req, demo.trust)
-    exp = build_expanded(demo.net, demo_req.services[0], demo_req,
-                         allowed, _snap(demo))
-    dot = to_dot(exp)
-    assert dot.startswith("digraph")
-    assert dot.count("->") == exp.num_edges
+    """Every edge is one DOT line, and the text read off the integer arrays
+    equals the one rendered from the (layer, node id) edge view, on the demo
+    and on graphs with parallel links and several layers."""
+    cases = [(demo, demo_req, _snap(demo))]
+    rng = random.Random(77)
+    cases += [_parallel_link_instance(rng) for _ in range(40)]
+    dumped = 0
+    for scn, req, snap in cases:
+        allowed = allowed_operators(req, scn.trust)
+        for svc in req.services:
+            try:
+                exp = build_expanded(scn.net, svc, req, allowed, snap)
+            except UnreachableEndpoints:
+                continue
+            dot = to_dot(exp)
+            assert dot.startswith("digraph")
+            assert dot.count("->") == exp.num_edges
+            assert dot == _view_dot(exp)
+            dumped += 1
+    assert dumped > 30
 
 
 def _parallel_link_instance(rng):
@@ -334,19 +362,20 @@ def test_graph_matches_reference_build_edge_for_edge(demo, demo_req):
                     build_expanded(scn.net, svc, req, allowed, snap)
                 continue
             exp = build_expanded(scn.net, svc, req, allowed, snap)
-            assert (exp.source, exp.target) == (ref.source, ref.target)
+            view = edge_view(exp)
+            assert (view.source, view.target) == (ref.source, ref.target)
             assert (exp.num_layers, exp.num_nodes, exp.num_edges) == \
                 (ref.num_layers, ref.num_nodes, ref.num_edges)
-            assert list(exp.adjacency) == sorted(ref.adjacency)
+            assert list(view.adjacency) == sorted(ref.adjacency)
             for node in sorted(ref.adjacency):
-                assert exp.adjacency[node] == ref.adjacency[node]
+                assert view.adjacency[node] == ref.adjacency[node]
             # edges are numbered in adjacency order, and the per-edge lists
             # agree with the adjacency tuples
             assert [e for out in exp.arcs for _, _, e in out] == list(range(exp.num_edges))
             for i, out in enumerate(exp.arcs):
                 for dst, cost, e in out:
                     assert (exp.edge_dst[e], exp.edge_cost[e]) == (dst, cost)
-                    assert exp.edges[e].src == exp.node(i)
+                    assert view.edges[e].src == exp.node(i)
             built += 1
             chain = svc.vnf_sequence
             consecutive += any(

@@ -58,13 +58,6 @@ def test_infeasible_model_reports_infeasible():
     assert sol.assignment is None and sol.objective is None
 
 
-def test_unbounded_continuous_detected():
-    m = IlpModel()
-    m.add_variable("x", CONTINUOUS, lb=0.0, ub=float("inf"), obj=-1.0)
-    sol = solve_lp_relaxation(m)
-    assert sol.status == "unbounded"
-
-
 def test_equality_forces_fractional_lp_integral_ilp():
     # min x+y s.t. 2x + 2y = 3 over binaries is infeasible, LP gives 1.5
     m = IlpModel()
@@ -215,6 +208,11 @@ def test_model_validation():
     m = IlpModel()
     with pytest.raises(MilpError):
         m.add_variable("x", "ternary")
+    # every column has finite bounds, so no program is unbounded
+    for lb, ub in ((0.0, float("inf")), (-float("inf"), 1.0), (0.0, float("nan"))):
+        with pytest.raises(MilpError, match="finite"):
+            m.add_variable("x", CONTINUOUS, lb=lb, ub=ub, obj=-1.0)
+    assert m.variables == []
     j = m.add_variable("x", BINARY, obj=1.0)
     with pytest.raises(MilpError):
         m.add_constraint({j: 1.0}, "<>", 1.0)

@@ -17,24 +17,22 @@ from slicebed.model import (
     scenario_from_dict,
 )
 from slicebed.paths import (
-    COST,
-    LATENCY,
     CandidatePath,
     candidate_from_path,
     generate_candidates,
     k_shortest_paths,
-    shortest_path,
 )
 from slicebed.pricing import PriceSnapshot, PricingPolicy
 
 from slicebed import paths
-from oracles import (dfs_all_expanded_paths, edge_numbers, reference_k_shortest_paths,
-                     tiny_request, tiny_scenario)
+from oracles import (dfs_all_expanded_paths, edge_numbers, edge_view,
+                     reference_k_shortest_paths, tiny_request, tiny_scenario)
 
 
-def _search(exp, k, weight):
+def _search(exp, k):
     """k_shortest_paths with each edge-number path shown as its ExpEdge list."""
-    return [[exp.edges[e] for e in p] for p in k_shortest_paths(exp, k, weight)]
+    edges = edge_view(exp).edges
+    return [[edges[e] for e in p] for p in k_shortest_paths(exp, k)]
 
 
 def _candidate(exp, req, path, index):
@@ -43,8 +41,8 @@ def _candidate(exp, req, path, index):
                                paths._footprint(exp, req, path))
 
 
-def _weight(path, attr):
-    return sum(getattr(e, attr) for e in path)
+def _cost(path):
+    return sum(e.cost for e in path)
 
 
 def _keyseq(path):
@@ -52,7 +50,7 @@ def _keyseq(path):
 
 
 def _nodeseq(exp, path):
-    nodes = [exp.source]
+    nodes = [exp.node(exp.source_index)]
     nodes.extend(e.dst for e in path)
     return tuple(nodes)
 
@@ -136,17 +134,18 @@ def _integer_instances(seed, count, max_paths=300, draw=lambda rng: float(rng.ra
             made += 1
 
 
-def _networkx_weights(exp, attr):
-    """Path weights in the order networkx's own Yen search yields them.
+def _networkx_costs(exp):
+    """Path costs in the order networkx's own Yen search yields them.
 
     Every layered edge is split at a midpoint node, so parallel edges stay
     distinct paths in networkx's simple digraph.
     """
+    exp = edge_view(exp)
     g = nx.DiGraph()
     for out in exp.adjacency.values():
         for e in out:
             mid = ("edge", e.src, e.kind, e.ref)
-            g.add_edge(e.src, mid, w=getattr(e, attr))
+            g.add_edge(e.src, mid, w=e.cost)
             g.add_edge(mid, e.dst, w=0)
     if exp.source not in g or exp.target not in g \
             or not nx.has_path(g, exp.source, exp.target):
@@ -161,33 +160,28 @@ def _decimal(rng):
 
 def test_search_matches_reference_path_for_path():
     """The same ordered paths as the plain Yen search kept in the oracles,
-    for k in {1, 2, 3, 8, all} under both weights, on graphs with float
-    costs, on graphs with many exact ties and parallel links, and on graphs
+    for k in {1, 2, 3, 8, all}, on graphs with float costs, on graphs with many exact ties and parallel links, and on graphs
     with costs of 0.1, 0.2 and 0.3, whose path sums depend on the order of
     addition. The bound that prunes spur searches must cut no tie at the
-    k-th weight, so the instances must contain such ties."""
+    k-th cost, so the instances must contain such ties."""
     graphs = [(exp, all_paths) for exp, all_paths, *_ in _instances(424242, 40)]
     graphs += list(_integer_instances(8675309, 60))
     graphs += list(_integer_instances(1618033, 60, draw=_decimal))
     kth_ties = inexact = 0
     for exp, all_paths in graphs:
-        for weight, attr in ((COST, "cost"), (LATENCY, "latency")):
-            sums = sorted(_weight(p, attr) for p in all_paths)
-            kth_ties += sum(sums[k - 1] == sums[k] for k in (1, 2, 3, 8) if k < len(sums))
-            inexact += any(functools.reduce(operator.add, (getattr(e, attr) for e in p), 0.0)
-                           != math.fsum(getattr(e, attr) for e in p) for p in all_paths)
-            for k in (1, 2, 3, 8, len(all_paths) + 1):
-                got = _search(exp, k, weight)
-                ref = reference_k_shortest_paths(exp, k, weight)
-                assert got == ref
+        sums = sorted(_cost(p) for p in all_paths)
+        kth_ties += sum(sums[k - 1] == sums[k] for k in (1, 2, 3, 8) if k < len(sums))
+        inexact += any(functools.reduce(operator.add, (e.cost for e in p), 0.0)
+                       != math.fsum(e.cost for e in p) for p in all_paths)
+        for k in (1, 2, 3, 8, len(all_paths) + 1):
+            assert _search(exp, k) == reference_k_shortest_paths(edge_view(exp), k)
     assert kth_ties > 100 and inexact > 30
 
 
 def test_weights_match_networkx_on_integer_graphs():
     for exp, all_paths in _integer_instances(5551212, 40):
-        for weight, attr in ((COST, "cost"), (LATENCY, "latency")):
-            got = [_weight(p, attr) for p in _search(exp, len(all_paths) + 1, weight)]
-            assert got == _networkx_weights(exp, attr)
+        got = [_cost(p) for p in _search(exp, len(all_paths) + 1)]
+        assert got == _networkx_costs(exp)
 
 
 def test_yen_matches_exhaustive_enumeration():
@@ -195,10 +189,10 @@ def test_yen_matches_exhaustive_enumeration():
     seen = 0
     for exp, all_paths, *_ in _instances(20240817, 120):
         total = len(all_paths)
-        found = _search(exp, total + 5, COST)
+        found = _search(exp, total + 5)
         assert len(found) == total
         assert {_keyseq(p) for p in found} == {_keyseq(p) for p in all_paths}
-        weights = [_weight(p, "cost") for p in found]
+        weights = [_cost(p) for p in found]
         # recomputing a sum in a different order can shift the last bit, so
         # allow dust when checking the nondecreasing ordering
         assert all(a <= b + 1e-9 for a, b in zip(weights, weights[1:]))
@@ -212,17 +206,13 @@ def test_yen_matches_exhaustive_enumeration():
 def test_first_path_is_dijkstra_shortest():
     for exp, all_paths, *_ in _instances(99, 60):
         if not all_paths:
-            assert shortest_path(exp) is None
-            assert k_shortest_paths(exp, 1, COST) == []
+            assert k_shortest_paths(exp, 1) == []
             continue
-        best = min(_weight(p, "cost") for p in all_paths)
-        sp = [exp.edges[e] for e in shortest_path(exp)]
-        ks = _search(exp, 1, COST)
-        assert sp is not None and len(ks) == 1
-        assert _weight(sp, "cost") == pytest.approx(best)
-        assert _keyseq(ks[0]) == _keyseq(sp)
+        best = min(_cost(p) for p in all_paths)
+        (sp,) = _search(exp, 1)
+        assert _cost(sp) == pytest.approx(best)
         # among exactly-tied minimum paths, the node sequence is lexicographic
-        tied = [p for p in all_paths if _weight(p, "cost") == _weight(sp, "cost")]
+        tied = [p for p in all_paths if _cost(p) == _cost(sp)]
         if len(tied) >= 1:
             assert _nodeseq(exp, sp) <= min(_nodeseq(exp, p) for p in tied)
 
@@ -233,23 +223,12 @@ def test_prefix_property_and_determinism():
         total = len(all_paths)
         if total == 0:
             continue
-        full = [_keyseq(p) for p in _search(exp, total, COST)]
+        full = [_keyseq(p) for p in _search(exp, total)]
         for k in (1, 2, total // 2 or 1):
-            sub = [_keyseq(p) for p in _search(exp, k, COST)]
+            sub = [_keyseq(p) for p in _search(exp, k)]
             assert sub == full[:min(k, total)]
-        again = [_keyseq(p) for p in _search(exp, total, COST)]
+        again = [_keyseq(p) for p in _search(exp, total)]
         assert again == full
-
-
-def test_latency_weight_mode():
-    for exp, all_paths, *_ in _instances(5150, 40):
-        if not all_paths:
-            continue
-        found = _search(exp, len(all_paths), LATENCY)
-        lats = [_weight(p, "latency") for p in found]
-        assert all(a <= b + 1e-9 for a, b in zip(lats, lats[1:]))
-        assert lats[0] == pytest.approx(
-            min(_weight(p, "latency") for p in all_paths))
 
 
 def test_candidate_footprint_construction():
@@ -401,7 +380,7 @@ def test_prefilter_keeps_what_building_every_candidate_would():
                 assert got[svc.id] == []
                 continue
             kept = []
-            for path in k_shortest_paths(exp, 8, COST):
+            for path in k_shortest_paths(exp, 8):
                 cand = _candidate(exp, req, path, len(kept))
                 fits = (all(a <= state.link_residual(e) + 1e-9 for e, a in cand.link_units)
                         and all(a <= state.node_residual(v, r) + 1e-9

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicebed.model import ScenarioError, scenario_from_dict
+from slicebed.model import (ScenarioError, request_from_dict, request_to_dict,
+                            scenario_from_dict)
 from slicebed.pricing import PricingPolicy
 from slicebed.sim import (
     NL,
@@ -37,6 +38,8 @@ def test_workload_validation():
     with pytest.raises(ScenarioError):
         Workload(rate=1, holding=0, horizon=10, seed=0)
     with pytest.raises(ScenarioError):
+        Workload(rate=1, holding=math.inf, horizon=10, seed=0)
+    with pytest.raises(ScenarioError):
         Workload(rate=1, holding=1, horizon=0, seed=0)
     with pytest.raises(ScenarioError):
         Workload(rate=1, holding=1, horizon=10, seed=0, holding_dist="pareto")
@@ -64,6 +67,15 @@ def test_slice_type_validation():
              chain_length=[1, 2])])
     with pytest.raises(ScenarioError, match="empty vnf pool"):
         parse_slice_types(scenario_from_dict(bad))
+    # sampled requests are not validated again, so a template must not allow
+    # a draw that request validation would reject
+    for key, value, match in (("bandwidth", [0, 2], "bandwidth"),
+                              ("max_latency", [0.0004, 5.0], "max_latency"),
+                              ("max_latency", [1.0, math.inf], "max_latency")):
+        bad = dict(doc, slice_types=[dict(doc["slice_types"][0], weight=1.0,
+                                          **{key: value})])
+        with pytest.raises(ScenarioError, match=match):
+            parse_slice_types(scenario_from_dict(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +173,30 @@ def test_sample_request_deterministic_and_valid():
             for svc in req1.services:
                 assert svc.source != svc.sink
                 assert svc.bandwidth >= 1
+
+
+@pytest.mark.parametrize("mix", [
+    {},
+    {"chain_length": [1, 1], "services": [1, 1]},
+    {"services": [2, 3], "deploy_fraction": 1.0, "deny_fraction": 0.0},
+], ids=["default", "one_vnf", "coupled"])
+def test_sampled_request_equals_validated_round_trip(mix):
+    """sample_request builds its request without validation; the request it
+    builds is the one that validating its dict form gives."""
+    gen = ScenarioGen(operators=3, rho=0.95)
+    doc = generate_scenario(gen, 1)
+    doc = generate_scenario(gen, 1, [{**t, **mix} for t in doc["slice_types"]])
+    scn = scenario_from_dict(doc)
+    templates = parse_slice_types(scn)
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for draw in range(720):
+        _, req = sample_request(rng, scn, templates, f"s{draw}", 0.25 * draw,
+                                float(rng.exponential(10.0)))
+        if req is not None:
+            assert request_from_dict(request_to_dict(req), scn) == req
+            checked += 1
+    assert checked >= 700
 
 
 # ---------------------------------------------------------------------------
