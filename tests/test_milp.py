@@ -58,6 +58,18 @@ def test_infeasible_model_reports_infeasible():
     assert sol.assignment is None and sol.objective is None
 
 
+def test_unbounded_continuous_detected():
+    # a column that could run to infinity is refused when it is added, so
+    # no program reaches the solver unbounded
+    m = IlpModel()
+    with pytest.raises(MilpError, match="finite"):
+        m.add_variable("x", CONTINUOUS, lb=0.0, ub=float("inf"), obj=-1.0)
+    assert m.variables == []
+    m.add_variable("x", CONTINUOUS, lb=0.0, ub=5.0, obj=-1.0)
+    sol = solve_lp_relaxation(m)
+    assert sol.status == "optimal" and sol.objective == pytest.approx(-5.0)
+
+
 def test_equality_forces_fractional_lp_integral_ilp():
     # min x+y s.t. 2x + 2y = 3 over binaries is infeasible, LP gives 1.5
     m = IlpModel()
@@ -208,8 +220,7 @@ def test_model_validation():
     m = IlpModel()
     with pytest.raises(MilpError):
         m.add_variable("x", "ternary")
-    # every column has finite bounds, so no program is unbounded
-    for lb, ub in ((0.0, float("inf")), (-float("inf"), 1.0), (0.0, float("nan"))):
+    for lb, ub in ((-float("inf"), 1.0), (0.0, float("nan"))):
         with pytest.raises(MilpError, match="finite"):
             m.add_variable("x", CONTINUOUS, lb=lb, ub=ub, obj=-1.0)
     assert m.variables == []
