@@ -13,7 +13,6 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
   8 M/M/infinity calibration (Little's law 10%) + per-event conservation
   9 byte-identical outputs across repeated runs
 """
-import json
 import random
 import sys
 import time
@@ -37,7 +36,6 @@ from slicebed.model import (
 )
 from slicebed.pricing import KLEINROCK, PriceSnapshot, PricingPolicy
 from slicebed.sim import (
-    NL,
     PL,
     ScenarioGen,
     Workload,

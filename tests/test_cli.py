@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, files written, printed summaries."""
 import json
-import os
 
 import pytest
 

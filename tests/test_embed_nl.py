@@ -1,5 +1,4 @@
 """Exact per-request embedding versus exhaustive enumeration."""
-import json
 import random
 
 import pytest

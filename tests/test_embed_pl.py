@@ -1,13 +1,17 @@
 """Candidate-path embedding: saturation equivalence, monotonicity, coupling."""
+import collections
+import itertools
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from slicebed import embed_pl
 from slicebed.embed_nl import solve_nl
-from slicebed.embed_pl import build_pl, forced_optimum, solve_pl, solve_pl_detailed
-from slicebed.milp import EPS_OBJ, branch_and_bound
+from slicebed.embed_pl import (TUPLE_BUDGET, build_pl, ranked_optimum, solve_pl,
+                               solve_pl_detailed)
+from slicebed.milp import EPS_FEAS, EPS_OBJ, branch_and_bound
 from slicebed.model import (
     Blocked,
     Embedding,
@@ -265,83 +269,273 @@ def test_matches_brute_force_when_saturated():
     assert agree >= 30
 
 
-def _candidate_sets(rng, mode):
-    """A slice of 1-3 services over a 3-node, 3-link substrate, random
-    candidate lists cheapest first and a ledger with tight residuals.
+TRIANGLE = {
+    "resources": [{"id": 0, "name": "cpu"}],
+    "operators": [{"id": 1}],
+    "nodes": [{"id": i, "operator_id": 1, "is_function_node": True,
+               "capacity": [8.0], "unit_price": [1.0]} for i in range(3)],
+    "links": [{"endpoints": ends, "capacity": 8.0, "directed": True}
+              for ends in ([0, 1], [1, 2], [0, 2])],
+    "trust": {"1": [1]},
+    "vnfs": [],
+}
 
-    Costs are small integers, so exact ties are common. ``mode`` "tie" gives
-    one service a second candidate within EPS_OBJ of its first (exactly
-    equal or a near tie); "overfull" loads one resource the first
-    candidates share until their summed footprints no longer fit.
-    """
-    scn = scenario_from_dict({
-        "resources": [{"id": 0, "name": "cpu"}],
-        "operators": [{"id": 1}],
-        "nodes": [{"id": i, "operator_id": 1, "is_function_node": True,
-                   "capacity": [4.0], "unit_price": [1.0]} for i in range(3)],
-        "links": [{"endpoints": ends, "capacity": 4.0, "directed": True}
-                  for ends in ([0, 1], [1, 2], [0, 2])],
-        "trust": {"1": [1]},
-        "vnfs": [],
-    })
-    services = rng.randint(1, 3)
-    slc = request_from_dict({
+
+def _slice(scn, services):
+    return request_from_dict({
         "id": "r", "origin_operator": 1,
         "services": [{"id": sid, "source": 0, "sink": 2, "vnf_sequence": [],
                       "bandwidth": 1.0, "max_latency": 99.0}
                      for sid in range(services)],
         "vnf_catalog": [],
     }, scn)
+
+
+def _candidate(sid, index, cost, links, nodes=()):
+    """A candidate of service ``sid`` using (link id, bandwidth) ``links``
+    and (node id, cpu) ``nodes``."""
+    return CandidatePath(sid, index, {}, (), float(cost), 0.0,
+                         tuple((eid, float(a)) for eid, a in links),
+                         tuple((vid, 0, float(a)) for vid, a in nodes))
+
+
+def _usage(cands):
+    """Summed footprint of ``cands`` per P2 row (link id) and P3 row
+    ((node id, resource))."""
+    use = {}
+    for cand in cands:
+        for eid, amount in cand.link_units:
+            use[eid] = use.get(eid, 0.0) + amount
+        for vid, r, amount in cand.node_units:
+            use[(vid, r)] = use.get((vid, r), 0.0) + amount
+    return use
+
+
+def _candidate_sets(rng, mode):
+    """A slice of 1-4 services over a 3-node, 3-link substrate with
+    capacities 8, 1-8 random candidates per service cheapest first, and a
+    loaded ledger (some residuals negative).
+
+    Costs are small integers, so exact ties are common. ``mode``:
+    "tie" gives one service a twin of its first candidate that costs 0,
+    0.5 * EPS_OBJ or 1e-8 more (inside the tie margin) or 2 * EPS_OBJ * the
+    largest possible tuple cost more (outside it); "short" empties the
+    ledger and loads one row that the first candidates use until together
+    they miss it by 1e-10 or 1e-7; "overfull" loads such a row until they
+    miss it by 0.5 to 3; "infeasible" leaves 0.5 on every link, which no
+    candidate fits.
+    """
+    scn = scenario_from_dict(TRIANGLE)
+    services = rng.randint(1, 4)
+    slc = _slice(scn, services)
     candidates = {}
     for sid in range(services):
-        costs = sorted(float(rng.randint(0, 6)) for _ in range(rng.randint(1, 4)))
-        cands = []
-        for index, cost in enumerate(costs):
-            links = sorted(rng.sample(range(3), rng.randint(1, 2)))
-            cands.append(CandidatePath(
-                sid, index, {}, (), cost, 0.0,
-                tuple((eid, float(rng.randint(1, 2))) for eid in links),
-                tuple((vid, 0, float(rng.randint(1, 2)))
-                      for vid in sorted(rng.sample(range(3), rng.randint(0, 2))))))
-        candidates[sid] = cands
+        costs = sorted(rng.randint(0, 6) for _ in range(rng.randint(1, 8)))
+        candidates[sid] = [
+            _candidate(sid, index, cost,
+                       [(eid, rng.randint(1, 2))
+                        for eid in sorted(rng.sample(range(3), rng.randint(1, 2)))],
+                       [(vid, rng.randint(1, 2))
+                        for vid in sorted(rng.sample(range(3), rng.randint(0, 2)))])
+            for index, cost in enumerate(costs)]
     if mode == "tie":
         sid = rng.randrange(services)
         first = candidates[sid][0]
-        bump = rng.choice([0.0, 0.5 * EPS_OBJ * max(1.0, first.cost)])
+        bump = rng.choice([0.0, 1e-8, 0.5 * EPS_OBJ, 2 * EPS_OBJ * 6 * services])
         twin = replace(first, cost=first.cost + bump)
         candidates[sid] = [replace(c, index=i) for i, c in
                            enumerate([first, twin] + candidates[sid][1:])]
     state = ResidualState(scn.net)
+    if mode in ("short", "overfull"):
+        use = _usage(cands[0] for cands in candidates.values())
+        row = rng.choice(sorted(use, key=str))
+        miss = rng.choice([1e-10, 1e-7] if mode == "short" else [0.5, 1.0, 3.0])
+        load = 8.0 - use[row] + miss
+        if isinstance(row, tuple):
+            state.used_node[row] = load
+        else:
+            state.used_bw[row] = load
+        return slc, candidates, state
     for eid in range(3):
-        state.used_bw[eid] = float(rng.choice([0, 0, 1, 2, 5]))
+        state.used_bw[eid] = 7.5 if mode == "infeasible" else \
+            float(rng.choice([0, 0, 1, 2, 4, 9]))
     for vid in range(3):
-        state.used_node[(vid, 0)] = float(rng.choice([0, 0, 1, 2, 5]))
-    if mode == "overfull":
-        eid, amount = candidates[0][0].link_units[0]
-        state.used_bw[eid] = 4.0 - amount + rng.choice([0.5, 1.0, 3.0])
+        state.used_node[(vid, 0)] = float(rng.choice([0, 0, 1, 2, 4, 9]))
     return slc, candidates, state
 
 
-def test_forced_optimum_agrees_with_branch_and_bound():
-    """Whenever the shortcut decides, branch-and-bound on the full model
-    picks the same candidate per service with the same objective; on a tie
-    or an overfull resource it declines."""
+def _ranking_outcome(candidates, state, slc):
+    """What ``ranked_optimum``'s rule decides, from every tuple at once:
+    "optimal" or "infeasible", or why it leaves the program to
+    branch-and-bound ("tie", "tolerance" or "budget")."""
+    lists = [candidates[svc.id] for svc in slc.services]
+    rhs = {row: max(0.0, state.node_residual(*row) if isinstance(row, tuple)
+                    else state.link_residual(row))
+           for row in _usage(c for cands in lists for c in cands)}
+    tolerance = EPS_FEAS * (1.0 + max(1.0, *rhs.values()))
+    tuples = []
+    for combo in itertools.product(*lists):
+        use = _usage(combo)
+        excess = max((use[row] - rhs[row] for row in use), default=0.0)
+        tuples.append((sum(c.cost for c in combo), excess))
+    fitting = [cost for cost, excess in tuples if excess <= 0.0]
+    if fitting:
+        best = min(fitting)
+        window = [t for t in tuples
+                  if t[0] <= best + EPS_OBJ * max(1.0, abs(best))]
+    else:
+        window = tuples
+    if any(0.0 < excess <= tolerance for _, excess in window):
+        return "tolerance"
+    if len(window) > TUPLE_BUDGET:
+        return "budget"
+    if sum(excess <= 0.0 for _, excess in window) > 1:
+        return "tie"
+    return "optimal" if fitting else "infeasible"
+
+
+def test_ranked_optimum_agrees_with_branch_and_bound():
+    """The enumerator decides exactly where its rule says it can, and there
+    branch-and-bound on the full model returns the same status, candidate
+    per service and objective."""
     rng = random.Random(20260417)
-    decided = 0
-    for trial in range(600):
-        mode = ("free", "tie", "overfull")[trial % 3]
+    seen = collections.Counter()
+    modes = ("free", "tie", "short", "overfull", "infeasible")
+    for trial in range(650):
+        mode = modes[trial % len(modes)]
         slc, candidates, state = _candidate_sets(rng, mode)
-        sol = forced_optimum(candidates, state, slc)
-        if mode != "free":
-            assert sol is None, mode
+        expected = _ranking_outcome(candidates, state, slc)
+        seen[mode, expected] += 1
+        sol = ranked_optimum(candidates, state, slc)
+        if expected not in ("optimal", "infeasible"):
+            assert sol is None, (mode, expected)
             continue
-        if sol is None:
-            continue
-        decided += 1
+        assert sol is not None and sol.status == expected, (mode, expected)
+        assert sol.node_count == 0
         model, _ = build_pl(candidates, state, slc)
         ref = branch_and_bound(model)
-        assert ref.status == sol.status == "optimal"
+        assert ref.status == sol.status
+        if expected == "infeasible":
+            assert sol.assignment is None and sol.objective is None
+            continue
         assert np.array_equal(np.round(ref.assignment), sol.assignment)
         assert sol.objective == ref.objective
+    for case in [("free", "optimal"), ("free", "tie"), ("free", "infeasible"),
+                 ("tie", "tie"), ("tie", "optimal"), ("short", "tolerance"),
+                 ("overfull", "optimal"), ("overfull", "infeasible"),
+                 ("infeasible", "infeasible")]:
+        assert seen[case] >= 10, (case, seen)
+
+
+def test_ranked_optimum_tie_margin_and_tolerance_band():
+    """Two services whose cheapest candidates share link 0: a twin inside
+    the EPS_OBJ margin defers, one outside it is decided; a residual short of
+    the cheapest tuple by 1e-10 or 1e-7 defers, by 1e-3 the next tuple is
+    decided."""
+    scn = scenario_from_dict(TRIANGLE)
+    slc = _slice(scn, 2)
+    base = {0: [_candidate(0, 0, 2, [(0, 1)]), _candidate(0, 1, 5, [(1, 1)])],
+            1: [_candidate(1, 0, 3, [(0, 1)]), _candidate(1, 1, 7, [(2, 1)])]}
+    margin = EPS_OBJ * 5.0
+    for bump, decided in [(0.0, False), (0.5 * margin, False), (0.99 * margin, False),
+                          (1.01 * margin, True), (2 * margin, True)]:
+        twin = _candidate(0, 1, 2 + bump, [(2, 1)])
+        cands = {0: [base[0][0], twin, replace(base[0][1], index=2)], 1: base[1]}
+        sol = ranked_optimum(cands, ResidualState(scn.net), slc)
+        assert (sol is not None) == decided, bump
+        if decided:
+            model, _ = build_pl(cands, ResidualState(scn.net), slc)
+            assert np.array_equal(sol.assignment, np.round(branch_and_bound(model).assignment))
+    for miss, outcome in [(1e-10, None), (1e-7, None), (1e-3, "optimal")]:
+        state = ResidualState(scn.net)
+        state.used_bw[0] = 8.0 - (2.0 - miss)
+        sol = ranked_optimum(base, state, slc)
+        assert (sol and sol.status) == outcome, miss
+    # with every right-hand side below 1, branch-and-bound's tolerance is set
+    # by P1's: 2e-6. Once a branch fixes the cheap candidate, whose link 0
+    # use overfills 0.5 by 1.8e-6, its LP accepts it, and branch-and-bound
+    # returns it over the fitting dearer one; the ranking must defer. By
+    # 2.5e-6 the cheap one is infeasible to both.
+    one = _slice(scn, 1)
+    state = ResidualState(scn.net)
+    for eid in range(3):
+        state.used_bw[eid] = 7.5
+    for excess, expected in [(1.8e-6, [1.0, 0.0]), (2.5e-6, [0.0, 1.0])]:
+        cands = {0: [_candidate(0, 0, 1, [(0, 0.5 + excess)]),
+                     _candidate(0, 1, 2, [(1, 0.1)])]}
+        ref = branch_and_bound(build_pl(cands, state, one)[0])
+        assert ref.assignment.tolist() == expected
+        sol = ranked_optimum(cands, state, one)
+        assert sol is None if excess < 2e-6 else sol.assignment.tolist() == expected
+
+
+def test_ranked_optimum_pops_at_most_the_budget():
+    """A set whose TUPLE_BUDGET = 4096 tuples all fail is decided
+    infeasible; one of 4097 tuples is left to branch-and-bound."""
+    scn = scenario_from_dict(TRIANGLE)
+    state = ResidualState(scn.net)
+    for eid in range(3):
+        state.used_bw[eid] = 7.5
+    assert TUPLE_BUDGET == 4096
+    for sizes, decided in [((8, 8, 8, 8), True), ((64, 64), True), ((17, 241), False)]:
+        slc = _slice(scn, len(sizes))
+        cands = {sid: [_candidate(sid, i, i % 7, [(i % 3, 1)]) for i in range(n)]
+                 for sid, n in enumerate(sizes)}
+        sol = ranked_optimum(cands, state, slc)
+        if decided:
+            assert sol.status == "infeasible" and sol.node_count == 0, sizes
+        else:
+            assert sol is None
+            model, _ = build_pl(cands, state, slc)
+            assert branch_and_bound(model).status == "infeasible"
+
+
+def test_solve_pl_calls_the_solver_seams_only_when_ranking_defers(monkeypatch):
+    """A per-layer profiler times ``build_pl`` and ``branch_and_bound``
+    through ``embed_pl``; neither runs when the ranking finds a unique
+    optimum or no fitting tuple, and both run once on a tie. The ranking's
+    decision needs no time, so it stays optimal under ``time_limit_ms=0``,
+    where branch-and-bound stops at its time limit."""
+    calls = {"build_pl": 0, "branch_and_bound": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(embed_pl, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(embed_pl, name, counting)
+    scn = scenario_from_dict(TRIANGLE)
+    slc = _slice(scn, 2)
+    snap = _snap(scn)
+
+    def solve(cands, state, **kw):
+        calls.update(build_pl=0, branch_and_bound=0)
+        out = solve_pl_detailed(scn.net, scn.trust, state, slc, snap, 8,
+                                candidates=cands, **kw)
+        return out, dict(calls)
+
+    # the cheapest candidates overfill link 0 (2 + 2 > 3); (0, 1) is the optimum
+    conflict = {0: [_candidate(0, 0, 1, [(0, 2)]), _candidate(0, 1, 3, [(1, 2)])],
+                1: [_candidate(1, 0, 1, [(0, 2)]), _candidate(1, 1, 2, [(2, 2)])]}
+    loaded = ResidualState(scn.net)
+    loaded.used_bw[0] = 5.0
+    for limit in (None, 0.0):
+        (emb, sol), seen = solve(conflict, loaded, time_limit_ms=limit)
+        assert seen == {"build_pl": 0, "branch_and_bound": 0}
+        assert isinstance(emb, Embedding) and emb.optimal and emb.total_cost == 3.0
+        assert [s.cost for s in emb.services] == [1.0, 2.0]
         assert sol.node_count == 0
-    assert decided >= 40
+    model, _ = build_pl(conflict, loaded, slc)
+    assert branch_and_bound(model, time_limit_ms=0.0).status == "time_limit_best_incumbent"
+
+    full = ResidualState(scn.net)
+    for eid in range(3):
+        full.used_bw[eid] = 7.5
+    (out, sol), seen = solve(conflict, full)
+    assert seen == {"build_pl": 0, "branch_and_bound": 0}
+    assert isinstance(out, Blocked) and out.reason == "infeasible"
+    assert sol.status == "infeasible" and sol.node_count == 0
+
+    tie = {0: [_candidate(0, 0, 1, [(0, 1)]), _candidate(0, 1, 1, [(1, 1)])],
+           1: conflict[1]}
+    (emb, sol), seen = solve(tie, ResidualState(scn.net))
+    assert seen == {"build_pl": 1, "branch_and_bound": 1}
+    assert isinstance(emb, Embedding) and emb.optimal and emb.total_cost == 2.0

@@ -6,7 +6,6 @@ import pytest
 from slicebed.expand import UnreachableEndpoints, build_expanded, map_back, to_dot
 from slicebed.model import (
     ResidualState,
-    ServiceChain,
     allowed_operators,
     load_request,
     load_scenario,

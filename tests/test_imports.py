@@ -1,11 +1,13 @@
-"""Every name a package module imports is used by that module."""
+"""Every name a package or test module imports is used by that module."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slicebed"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "slicebed"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -23,7 +25,8 @@ def test_package_has_modules():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []

@@ -1,6 +1,5 @@
 """Simplex + branch-and-bound against exact-arithmetic and exhaustive oracles."""
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest

@@ -1,7 +1,6 @@
 """Scenario/request loading, trust semantics and the residual-capacity ledger."""
 import copy
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st

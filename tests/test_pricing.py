@@ -1,6 +1,4 @@
 """Utilization-dependent pricing: multiplier shape, caps, snapshots."""
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

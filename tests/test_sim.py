@@ -1,7 +1,6 @@
 """Event-driven simulation: generation, sampling, metrics, writers, replay."""
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +8,9 @@ import pytest
 
 from slicebed.model import (ScenarioError, request_from_dict, request_to_dict,
                             scenario_from_dict)
-from slicebed.pricing import PricingPolicy
 from slicebed.sim import (
     NL,
     PL,
-    RunMetrics,
     ScenarioGen,
     Workload,
     compare,
